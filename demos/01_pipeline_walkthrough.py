@@ -38,7 +38,7 @@ print("vocabulary size:", len(vocab), "| categories:", vocab.categories)
 
 encoded = [encode_record(r, vocab, pre) for r in records]
 config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=4, n_layers=1,
-                     d_ff=64, max_src_len=40, max_tgt_len=40, dropout=0.0, seed=0)
+                     d_ff=64, max_tgt_len=40, dropout=0.0, seed=0)
 result = train_model(encoded, [], config,
                      TrainOptions(lr=2e-3, batch_size=8, epochs=200,
                                   seed=0, stop_loss=0.05))

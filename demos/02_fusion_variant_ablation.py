@@ -41,7 +41,7 @@ refs = [tokenize(r.response_text) for r in test]
 decode = DecodeConfig()
 
 base_config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=4,
-                          n_layers=1, d_ff=64, max_src_len=40, max_tgt_len=40,
+                          n_layers=1, d_ff=64, max_tgt_len=40,
                           dropout=0.0, seed=0)
 
 reports = []

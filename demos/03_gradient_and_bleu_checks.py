@@ -11,7 +11,7 @@ from trrgen.evaluation import corpus_bleu, brevity_penalty, modified_precision
 
 # --- gradient check on a deliberately tiny model ------------------------
 config = ModelConfig(vocab_size=20, d_model=8, n_heads=4, n_layers=1, d_ff=16,
-                     max_src_len=20, max_tgt_len=20, dropout=0.0, seed=0)
+                     max_tgt_len=20, dropout=0.0, seed=0)
 params = init_parameters(config, seed=1)
 batch = [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
          EncodedRecord([15, 16], [2, 17, 3], 5, 9)]

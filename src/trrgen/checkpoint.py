@@ -1,15 +1,19 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container, format version 2.
 
 Layout (little-endian): magic "TRRGEN1", uint32 format version, uint64 header
-length, JSON header (run config, vocabulary tokens, training metadata, tensor
-manifest), then one uint64-length-prefixed raw float64 block per tensor in
-manifest order. The JSON header is serialized with sorted keys so identical
-state produces byte-identical files.
+length, JSON header (model config, run config, vocabulary tokens, training
+metadata, tensor manifest), then one uint64-length-prefixed raw float64 block
+per tensor in `Parameters.named()` order. Attention projections are stored
+fused, one d_model x d_model block each; version 1 stored one block per head
+and is rejected, like any truncated or inconsistent file. The JSON header is
+serialized with sorted keys so identical state produces byte-identical files.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import struct
 
 import numpy as np
@@ -18,7 +22,7 @@ from .corpus import Vocabulary
 from .model import ModelConfig, Parameters, init_parameters
 
 MAGIC = b"TRRGEN1"
-VERSION = 1
+VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -30,14 +34,7 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
                     metadata: dict | None = None):
     named = list(params.named())
     header = {
-        "model_config": {
-            "vocab_size": config.vocab_size, "d_model": config.d_model,
-            "n_heads": config.n_heads, "n_layers": config.n_layers,
-            "d_ff": config.d_ff, "max_src_len": config.max_src_len,
-            "max_tgt_len": config.max_tgt_len,
-            "fusion_variant": config.fusion_variant,
-            "dropout": config.dropout, "seed": config.seed,
-        },
+        "model_config": dataclasses.asdict(config),
         "run_config": run_config or {},
         "vocabulary": vocab.id_to_token,
         "metadata": metadata or {},
@@ -59,28 +56,45 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
 def load_checkpoint(path):
     """Returns (params, config, vocab, run_config, metadata); bitwise round trip."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n, what):
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated {what}")
+            return fh.read(n)
+
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read(4, "version"))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+            raise CheckpointError(f"{path}: unsupported version {version} "
+                                  f"(this build reads version {VERSION})")
+        (hlen,) = struct.unpack("<Q", read(8, "header length"))
+        blob = read(hlen, "header")
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            config = ModelConfig(**header["model_config"])
+            vocab = Vocabulary(header["vocabulary"])
+            manifest = [(name, tuple(shape)) for name, shape in header["tensors"]]
+            run_config, metadata = header["run_config"], header["metadata"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc}") from None
+        if len(vocab) != config.vocab_size:
+            raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, "
+                                  f"model expects {config.vocab_size}")
 
-        config = ModelConfig(**header["model_config"])
-        vocab = Vocabulary(header["vocabulary"])
         params = init_parameters(config, seed=config.seed)
         named = list(params.named())
-        manifest = header["tensors"]
-        if [n for n, _ in named] != [n for n, _ in manifest]:
-            raise CheckpointError(f"{path}: tensor manifest mismatch")
-        for (name, t), (_, shape) in zip(named, manifest):
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            raw = fh.read(nbytes)
-            arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-            if arr.shape != t.values.shape:
-                raise CheckpointError(f"{path}: tensor {name} shape {arr.shape} "
-                                      f"!= expected {t.values.shape}")
-            t.values = arr.astype(np.float64)
-    return params, config, vocab, header["run_config"], header["metadata"]
+        if manifest != [(name, t.values.shape) for name, t in named]:
+            raise CheckpointError(f"{path}: tensor manifest does not match the model config")
+        for name, t in named:
+            (nbytes,) = struct.unpack("<Q", read(8, f"tensor {name} length"))
+            if nbytes != t.values.nbytes:
+                raise CheckpointError(f"{path}: tensor {name} block is {nbytes} bytes, "
+                                      f"expected {t.values.nbytes}")
+            raw = read(nbytes, f"tensor {name}")
+            t.values = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape).astype(np.float64)
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
+    return params, config, vocab, run_config, metadata

@@ -34,7 +34,6 @@ class RunConfig:
     n_heads: int = 4
     n_layers: int = 1
     d_ff: int = 1024
-    max_src_len: int = 102
     max_tgt_len: int = 120
     fusion_variant: str = "trrgen_concat"
     dropout: float = 0.1
@@ -74,8 +73,7 @@ class RunConfig:
     def model_config(self, vocab_size: int) -> ModelConfig:
         return ModelConfig(vocab_size=vocab_size, d_model=self.d_model,
                            n_heads=self.n_heads, n_layers=self.n_layers,
-                           d_ff=self.d_ff, max_src_len=self.max_src_len,
-                           max_tgt_len=self.max_tgt_len,
+                           d_ff=self.d_ff, max_tgt_len=self.max_tgt_len,
                            fusion_variant=self.fusion_variant,
                            dropout=self.dropout, seed=self.seed)
 

@@ -173,10 +173,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def detokenize(tokens: list[str]) -> str:
-    return " ".join(tokens)
-
-
 # ---------------------------------------------------------------------------
 # advertisement-sentence detection
 

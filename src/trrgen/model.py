@@ -8,12 +8,12 @@ category (prepended as an extra position or summed in), selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (Tensor, Tape, matmul, add, scale, relu, softmax, layer_norm,
-                     concat_rows, concat_cols, embedding_lookup, dropout,
+                     concat_rows, split_heads, merge_heads, embedding_lookup, dropout,
                      cross_entropy_logits)
 from .corpus import EncodedRecord, PAD_ID
 
@@ -34,7 +34,6 @@ class ModelConfig:
     n_heads: int = 4
     n_layers: int = 1
     d_ff: int = 1024
-    max_src_len: int = 102
     max_tgt_len: int = 120
     fusion_variant: str = "trrgen_concat"
     dropout: float = 0.1
@@ -47,8 +46,8 @@ class ModelConfig:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
-        if self.max_src_len < 2 or self.max_tgt_len < 2:
-            raise ConfigError("max sequence lengths must be >= 2")
+        if self.max_tgt_len < 2:
+            raise ConfigError("max_tgt_len must be >= 2")
         if self.fusion_variant not in FUSION_VARIANTS:
             raise ConfigError(f"unknown fusion_variant {self.fusion_variant!r}")
 
@@ -59,10 +58,12 @@ class ModelConfig:
 
 @dataclass
 class AttentionParams:
-    wq: list[Tensor]  # per head, d_model x d_k
-    wk: list[Tensor]
-    wv: list[Tensor]
-    wo: Tensor        # d_model x d_model
+    # Each d_model x d_model. Head h owns columns h*d_k:(h+1)*d_k of wq, wk
+    # and wv, and rows h*d_k:(h+1)*d_k of wo.
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
+    wo: Tensor
 
 
 @dataclass
@@ -110,12 +111,9 @@ class Parameters:
         yield "embedding", self.embedding
 
         def attn(prefix, a):
-            for h, t in enumerate(a.wq):
-                yield f"{prefix}.wq{h}", t
-            for h, t in enumerate(a.wk):
-                yield f"{prefix}.wk{h}", t
-            for h, t in enumerate(a.wv):
-                yield f"{prefix}.wv{h}", t
+            yield f"{prefix}.wq", a.wq
+            yield f"{prefix}.wk", a.wk
+            yield f"{prefix}.wv", a.wv
             yield f"{prefix}.wo", a.wo
 
         for i, layer in enumerate(self.encoder):
@@ -168,12 +166,12 @@ def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
     rng = np.random.default_rng(config.seed if seed is None else seed)
     d, dk, dff, v = config.d_model, config.d_k, config.d_ff, config.vocab_size
 
+    def heads():
+        # one Xavier block per head, drawn in head order, as fused columns
+        return Tensor(np.hstack([_xavier(rng, d, dk).values for _ in range(config.n_heads)]))
+
     def attn():
-        return AttentionParams(
-            wq=[_xavier(rng, d, dk) for _ in range(config.n_heads)],
-            wk=[_xavier(rng, d, dk) for _ in range(config.n_heads)],
-            wv=[_xavier(rng, d, dk) for _ in range(config.n_heads)],
-            wo=_xavier(rng, d, d))
+        return AttentionParams(wq=heads(), wk=heads(), wv=heads(), wo=_xavier(rng, d, d))
 
     def ffn():
         return FeedForwardParams(w1=_xavier(rng, d, dff), b1=Tensor(np.zeros(dff)),
@@ -218,50 +216,23 @@ def causal_mask(n: int) -> np.ndarray:
     return mask
 
 
-def padding_mask(n_queries: int, key_ids) -> np.ndarray:
-    key_ids = np.asarray(key_ids)
-    mask = np.zeros((n_queries, key_ids.shape[0]))
-    mask[:, key_ids == PAD_ID] = NEG_INF
-    return mask
-
-
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
                          p: AttentionParams, tape: Tape | None,
                          d_k: int, return_weights: bool = False):
-    """softmax(Q Wq (K Wk)^T / sqrt(d_k) + mask) V Wv per head, concat, project."""
+    """softmax(Q Kᵀ / sqrt(d_k) + mask) V for all heads at once, merged and
+    projected by Wo; with `return_weights`, also the [H, Tq, Tk] weights."""
     if mask.shape != (x_q.values.shape[0], x_kv.values.shape[0]):
         raise ConfigError(f"mask shape {mask.shape} does not match "
                           f"{(x_q.values.shape[0], x_kv.values.shape[0])}")
-    mask_t = Tensor(mask)
-    inv_sqrt = 1.0 / np.sqrt(d_k)
-    heads = []
-    weights = []
-    for wq, wk, wv in zip(p.wq, p.wk, p.wv):
-        q = matmul(x_q, wq, tape)
-        k = matmul(x_kv, wk, tape)
-        v = matmul(x_kv, wv, tape)
-        scores = add(scale(_matmul_bt(q, k, tape), inv_sqrt, tape), mask_t, tape)
-        attn = softmax(scores, tape, axis=-1)
-        weights.append(attn.values)
-        heads.append(matmul(attn, v, tape))
-    z = matmul(concat_cols(heads, tape), p.wo, tape)
+    q = split_heads(matmul(x_q, p.wq, tape), d_k, tape)
+    k_t = split_heads(matmul(x_kv, p.wk, tape), d_k, tape, keys=True)
+    v = split_heads(matmul(x_kv, p.wv, tape), d_k, tape)
+    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(d_k), tape), Tensor(mask), tape)
+    attn = softmax(scores, tape, axis=-1)
+    z = matmul(merge_heads(matmul(attn, v, tape), tape), p.wo, tape)
     if return_weights:
-        return z, weights
+        return z, attn.values
     return z
-
-
-def _matmul_bt(a: Tensor, b: Tensor, tape: Tape | None) -> Tensor:
-    """a @ b.T with gradients to both operands."""
-    from .tensor import _accum
-    out = Tensor(a.values @ b.values.T)
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad @ b.values)
-            _accum(b, out.grad.T @ a.values)
-        tape.record(bwd)
-    return out
 
 
 def feed_forward(x: Tensor, p: FeedForwardParams, tape: Tape | None) -> Tensor:

@@ -20,7 +20,8 @@ __all__ = [
     "softmax",
     "layer_norm",
     "concat_rows",
-    "concat_cols",
+    "split_heads",
+    "merge_heads",
     "embedding_lookup",
     "dropout",
     "cross_entropy_logits",
@@ -46,10 +47,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def assert_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("tensor contains NaN or Inf")
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape})"
 
@@ -58,6 +55,15 @@ def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = np.zeros_like(t.values)
     t.grad += g
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum `g` over the axes along which an operand of `shape` was broadcast."""
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(lead + i for i, n in enumerate(shape) if n == 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 class Tape:
@@ -94,7 +100,8 @@ def backward(tape: Tape, loss: Tensor):
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    if a.values.shape[-1] != b.values.shape[0]:
+    """a @ b; operands of more than two axes are stacks of matrices."""
+    if a.values.shape[-1] != b.values.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.values.shape} x {b.values.shape}")
     out = Tensor(a.values @ b.values)
 
@@ -102,30 +109,25 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
         def bwd():
             if out.grad is None:
                 return
-            _accum(a, out.grad @ b.values.T)
-            _accum(b, a.values.T @ out.grad)
+            _accum(a, _unbroadcast(out.grad @ b.values.swapaxes(-1, -2), a.values.shape))
+            _accum(b, _unbroadcast(a.values.swapaxes(-1, -2) @ out.grad, b.values.shape))
         tape.record(bwd)
     return out
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Element-wise sum; `b` may be a single row broadcast over the rows of `a`."""
+    """Element-wise sum; `b` is broadcast onto the shape of `a`."""
     av, bv = a.values, b.values
-    row_broadcast = av.shape != bv.shape
-    if row_broadcast:
-        if not (av.ndim == 2 and bv.ndim in (1, 2) and bv.reshape(-1).shape[0] == av.shape[1]):
-            raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
-    out = Tensor(av + bv.reshape(1, -1) if row_broadcast else av + bv)
+    if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
+        raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
+    out = Tensor(av + bv)
 
     if tape is not None:
         def bwd():
             if out.grad is None:
                 return
             _accum(a, out.grad)
-            if row_broadcast:
-                _accum(b, out.grad.sum(axis=0).reshape(bv.shape))
-            else:
-                _accum(b, out.grad)
+            _accum(b, _unbroadcast(out.grad, bv.shape))
         tape.record(bwd)
     return out
 
@@ -222,21 +224,33 @@ def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
     return out
 
 
-def concat_cols(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
-    """Stack 2-D tensors of equal height along the column axis."""
-    if not parts:
-        raise ValueError("concat_cols of empty list")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=1))
+def split_heads(x: Tensor, d_k: int, tape: Tape | None = None,
+                keys: bool = False) -> Tensor:
+    """Column blocks of width `d_k` of a [T, H*d_k] tensor as an [H, T, d_k]
+    stack, or with `keys` as [H, d_k, T], the right operand of Q Kᵀ."""
+    t, d = x.values.shape
+    axes = (1, 2, 0) if keys else (1, 0, 2)
+    out = Tensor(x.values.reshape(t, d // d_k, d_k).transpose(axes))
 
     if tape is not None:
-        sizes = [p.values.shape[1] for p in parts]
         def bwd():
             if out.grad is None:
                 return
-            offset = 0
-            for p, sz in zip(parts, sizes):
-                _accum(p, out.grad[:, offset:offset + sz])
-                offset += sz
+            _accum(x, out.grad.transpose(np.argsort(axes)).reshape(t, d))
+        tape.record(bwd)
+    return out
+
+
+def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
+    """Inverse of `split_heads`: an [H, T, d_k] stack as [T, H*d_k] columns."""
+    h, t, d_k = x.values.shape
+    out = Tensor(x.values.transpose(1, 0, 2).reshape(t, h * d_k))
+
+    if tape is not None:
+        def bwd():
+            if out.grad is None:
+                return
+            _accum(x, out.grad.reshape(t, h, d_k).transpose(1, 0, 2))
         tape.record(bwd)
     return out
 

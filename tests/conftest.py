@@ -16,7 +16,7 @@ def pre_config():
 @pytest.fixture
 def tiny_config():
     return ModelConfig(vocab_size=20, d_model=8, n_heads=4, n_layers=1, d_ff=16,
-                       max_src_len=20, max_tgt_len=20, dropout=0.0, seed=0)
+                       max_tgt_len=20, dropout=0.0, seed=0)
 
 
 @pytest.fixture
@@ -87,6 +87,6 @@ def encode_corpus(records, vocab, pre_cfg):
 def build_tiny_setup(records, pre_cfg, **config_overrides):
     vocab = build_vocabulary(records, min_freq=1)
     defaults = dict(vocab_size=len(vocab), d_model=32, n_heads=4, n_layers=1,
-                    d_ff=64, max_src_len=40, max_tgt_len=40, dropout=0.0, seed=0)
+                    d_ff=64, max_tgt_len=40, dropout=0.0, seed=0)
     defaults.update(config_overrides)
     return vocab, ModelConfig(**defaults)

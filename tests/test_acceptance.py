@@ -35,7 +35,7 @@ def report(name, detail):
 
 def grad_check_setup():
     config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=4, n_layers=1,
-                           d_ff=16, max_src_len=20, max_tgt_len=20,
+                           d_ff=16, max_tgt_len=20,
                            dropout=0.0, fusion_variant="trrgen_concat", seed=0)
     params = M.init_parameters(config, seed=1)
     batch = [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
@@ -320,7 +320,7 @@ def test_c13_beam_greedy_consistency():
     matched = 0
     for seed in range(50):
         config = M.ModelConfig(vocab_size=14, d_model=8, n_heads=2, n_layers=1,
-                               d_ff=16, max_src_len=16, max_tgt_len=10,
+                               d_ff=16, max_tgt_len=10,
                                dropout=0.0, fusion_variant="vanilla", seed=seed)
         params = M.init_parameters(config, seed=seed)
         rec = EncodedRecord([9 + seed % 3, 10, 11 + seed % 2], [2, 3], 4, 9)

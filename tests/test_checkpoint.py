@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ def setup():
                ReviewRecord("b", "GAME", 2, "crashes on load", "we will fix it")]
     vocab = build_vocabulary(records, min_freq=1)
     config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, n_layers=1,
-                         d_ff=16, max_src_len=16, max_tgt_len=16, dropout=0.0, seed=5)
+                         d_ff=16, max_tgt_len=16, dropout=0.0, seed=5)
     params = init_parameters(config, seed=5)
     return params, config, vocab
 
@@ -53,7 +56,70 @@ def test_bad_version_rejected(tmp_path, setup):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, params, config, vocab)
     raw = bytearray(path.read_bytes())
-    raw[len(MAGIC)] = 99
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError, match="version"):
+    for version in (99, 1):  # 1 is the per-head layout this build no longer reads
+        raw[len(MAGIC)] = version
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"version {version}"):
+            load_checkpoint(path)
+
+
+@pytest.fixture
+def tiny_checkpoint(tmp_path):
+    records = [ReviewRecord("a", "TOOLS", 4, "fine", "thanks")]
+    vocab = build_vocabulary(records, min_freq=1)
+    config = ModelConfig(vocab_size=len(vocab), d_model=2, n_heads=1, n_layers=1,
+                         d_ff=2, max_tgt_len=4, dropout=0.0, seed=0)
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(path, init_parameters(config), config, vocab)
+    return path
+
+
+def test_truncated_at_every_offset_rejected(tmp_path, tiny_checkpoint):
+    raw = tiny_checkpoint.read_bytes()
+    path = tmp_path / "cut.ckpt"
+    for n in range(len(raw)):
+        path.write_bytes(raw[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply `edit` to the parsed JSON header and write the file back."""
+    raw = path.read_bytes()
+    start = len(MAGIC) + 4
+    (hlen,) = struct.unpack("<Q", raw[start:start + 8])
+    header = json.loads(raw[start + 8:start + 8 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:start] + struct.pack("<Q", len(blob)) + blob
+                     + raw[start + 8 + hlen:])
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h.pop("vocabulary"), "malformed header"),
+    (lambda h: h["model_config"].update(n_heads=3), "malformed header"),
+    (lambda h: h["vocabulary"].pop(), "vocabulary has"),
+    (lambda h: h["tensors"][0][1].append(1), "manifest"),
+])
+def test_inconsistent_header_rejected(tiny_checkpoint, edit, match):
+    rewrite_header(tiny_checkpoint, edit)
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(tiny_checkpoint)
+
+
+def test_malformed_json_and_block_length_rejected(tiny_checkpoint):
+    raw = bytearray(tiny_checkpoint.read_bytes())
+    hstart = len(MAGIC) + 12
+    (hlen,) = struct.unpack("<Q", raw[hstart - 8:hstart])
+    bad_json = raw[:hstart] + b"{" * hlen + raw[hstart + hlen:]
+    tiny_checkpoint.write_bytes(bytes(bad_json))
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(tiny_checkpoint)
+    (nbytes,) = struct.unpack_from("<Q", raw, hstart + hlen)
+    struct.pack_into("<Q", raw, hstart + hlen, nbytes - 8)  # one float short
+    tiny_checkpoint.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="block"):
+        load_checkpoint(tiny_checkpoint)

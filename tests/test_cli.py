@@ -138,6 +138,14 @@ class TestTrainGenerateEvaluate:
                     "--rating", 5, "--category", "FOO"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_generate_truncated_checkpoint_fails(self, trained, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(trained.read_bytes()[:9])
+        assert run(["generate", "--checkpoint", cut, "--review", "x",
+                    "--rating", 5, "--category", "TOOLS"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_generate_batch_mode(self, trained, tmp_path, capsys):
         batch = tmp_path / "batch.jsonl"
         batch.write_text(json.dumps({"review": "love it", "rating": 5,

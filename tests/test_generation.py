@@ -11,7 +11,7 @@ from trrgen.generation import (DecodeConfig, greedy_decode, beam_decode,
 
 def random_model(seed, vocab_size=14):
     config = M.ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, n_layers=1,
-                           d_ff=16, max_src_len=16, max_tgt_len=10, dropout=0.0,
+                           d_ff=16, max_tgt_len=10, dropout=0.0,
                            fusion_variant="vanilla", seed=seed)
     return M.init_parameters(config, seed=seed), config
 

@@ -5,7 +5,9 @@ import pytest
 
 from trrgen import model as M
 from trrgen.corpus import EncodedRecord
-from trrgen.tensor import Tensor, Tape, grad_check
+from trrgen.tensor import Tensor, Tape, grad_check, matmul, sum_all
+
+from attention_reference import per_head_attention, per_head_weights
 
 
 def pe_oracle(seq_len, d_model):
@@ -106,7 +108,7 @@ class TestAttention:
         for w in weights:
             np.testing.assert_array_equal(w, [[1.0]])
         # output equals (x Wv) Wo with weight exactly 1
-        heads = np.concatenate([x.values @ wv.values for wv in attn.wv], axis=1)
+        heads = x.values @ attn.wv.values
         np.testing.assert_allclose(z.values, heads @ attn.wo.values)
 
     def test_uniform_inputs_give_uniform_attention(self, tiny_params):
@@ -121,7 +123,7 @@ class TestAttention:
         # d_model = d_k = 2, identity projections: z = softmax(X X^T / sqrt(2)) X
         x = np.array([[1.0, 0.0], [0.0, 2.0]])
         eye = Tensor(np.eye(2))
-        p = M.AttentionParams(wq=[eye], wk=[eye], wv=[eye], wo=Tensor(np.eye(2)))
+        p = M.AttentionParams(wq=eye, wk=eye, wv=eye, wo=Tensor(np.eye(2)))
         z = M.multi_head_attention(Tensor(x), Tensor(x), np.zeros((2, 2)), p,
                                    None, d_k=2)
         scores = x @ x.T / math.sqrt(2)
@@ -144,6 +146,97 @@ class TestAttention:
         x = Tensor(np.zeros((3, 8)))
         with pytest.raises(M.ConfigError):
             M.multi_head_attention(x, x, np.zeros((3, 4)), attn, None, d_k=2)
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def random_attention(rng, d):
+    return M.AttentionParams(*(Tensor(rng.normal(scale=0.5, size=(d, d))) for _ in range(4)))
+
+
+class TestFusedAttentionMatchesPerHead:
+    @staticmethod
+    def mask(kind, t_q, t_kv):
+        mask = np.zeros((t_q, t_kv))
+        if kind == "causal":  # lower-right aligned, so every query sees a key
+            mask[np.triu_indices(t_q, k=1 + t_kv - t_q, m=t_kv)] = M.NEG_INF
+        return mask
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    @pytest.mark.parametrize("t_q,t_kv,kind", [(5, 7, "zero"), (5, 7, "causal"),
+                                               (6, None, "zero"), (6, None, "causal")])
+    def test_values_and_gradients(self, n_heads, t_q, t_kv, kind):
+        rng = np.random.default_rng(10 * n_heads + t_q)
+        d = 8
+        d_k = d // n_heads
+        p = random_attention(rng, d)
+        x_q = Tensor(rng.normal(size=(t_q, d)))
+        x_kv = x_q if t_kv is None else Tensor(rng.normal(size=(t_kv, d)))
+        mask = self.mask(kind, t_q, x_kv.values.shape[0])
+        r = Tensor(rng.normal(size=(d, 1)))
+
+        tape = Tape()
+        z, weights = M.multi_head_attention(x_q, x_kv, mask, p, tape, d_k,
+                                            return_weights=True)
+        tape.backward(sum_all(matmul(z, r, tape), tape))
+
+        ref_q = Tensor(x_q.values.copy())
+        ref_kv = ref_q if t_kv is None else Tensor(x_kv.values.copy())
+        wq, wk, wv = (per_head_weights(w, d_k) for w in (p.wq, p.wk, p.wv))
+        wo = Tensor(p.wo.values.copy())
+        tape = Tape()
+        ref_z, ref_weights = per_head_attention(ref_q, ref_kv, mask, wq, wk, wv, wo,
+                                                tape, d_k)
+        tape.backward(sum_all(matmul(ref_z, r, tape), tape))
+
+        assert weights.shape == (n_heads, t_q, x_kv.values.shape[0])
+        assert rel_err(weights, np.array(ref_weights)) <= 1e-12
+        assert rel_err(z.values, ref_z.values) <= 1e-12
+        pairs = [(x_q.grad, ref_q.grad), (x_kv.grad, ref_kv.grad), (p.wo.grad, wo.grad)]
+        pairs += [(w.grad, np.hstack([h.grad for h in heads]))
+                  for w, heads in ((p.wq, wq), (p.wk, wk), (p.wv, wv))]
+        for got, want in pairs:
+            assert rel_err(got, want) <= 1e-12
+
+    def test_tape_length_independent_of_head_count(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 8)))
+        lengths = []
+        for n_heads in (1, 2, 4):
+            tape = Tape()
+            M.multi_head_attention(x, x, np.zeros((5, 5)), random_attention(rng, 8),
+                                   tape, d_k=8 // n_heads)
+            lengths.append(len(tape))
+        assert lengths == [lengths[0]] * 3
+
+    def test_seeded_projections_stack_per_head_draws(self, tiny_config):
+        params = M.init_parameters(tiny_config, seed=7)
+        rng = np.random.default_rng(7)
+        v, d, d_k, d_ff = 20, 8, 2, 16
+
+        def xavier(fan_in, fan_out):
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+        def attn():
+            heads = [np.hstack([xavier(d, d_k) for _ in range(4)]) for _ in range(3)]
+            return heads + [xavier(d, d)]
+
+        # draw order of init_parameters: embedding, encoder layer, decoder layer, out_proj
+        xavier(v, d)
+        expected = {"enc0.self": attn()}
+        xavier(d, d_ff), xavier(d_ff, d)
+        expected["dec0.self"] = attn()
+        expected["dec0.cross"] = attn()
+        xavier(d, d_ff), xavier(d_ff, d)
+        assert np.array_equal(params.out_proj.values, xavier(d, v))
+
+        named = dict(params.named())
+        for prefix, mats in expected.items():
+            for suffix, want in zip(("wq", "wk", "wv", "wo"), mats):
+                assert np.array_equal(named[f"{prefix}.{suffix}"].values, want)
 
 
 class TestFeedForward:
@@ -246,8 +339,7 @@ class TestDecoder:
     def test_zero_cross_value_projection_ignores_encoder(self, tiny_config, tiny_params):
         import copy
         params = copy.deepcopy(tiny_params)
-        for wv in params.decoder[0].cross_attn.wv:
-            wv.values[:] = 0.0
+        params.decoder[0].cross_attn.wv.values[:] = 0.0
         enc_a = encode_for("vanilla", 4, params, tiny_config, src=(10, 11))
         enc_b = encode_for("vanilla", 4, params, tiny_config, src=(15, 16))
         la = M.decoder_forward([2, 10], enc_a, params, tiny_config).values

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from trrgen.tensor import (Tensor, Tape, matmul, add, scale, relu, softmax,
-                           layer_norm, concat_rows, concat_cols, embedding_lookup,
+                           layer_norm, concat_rows, split_heads, merge_heads,
+                           embedding_lookup,
                            dropout, cross_entropy_logits, sum_all, backward,
                            grad_check)
 from trrgen.optim import AdamState, adam_step, zero_grads
@@ -25,6 +26,28 @@ class TestMatmul:
     def test_shape_error(self):
         with pytest.raises(ValueError):
             matmul(rand((2, 3)), rand((4, 5)))
+
+    def test_stacked_operands(self):
+        a, b = rand((3, 2, 4), 1), rand((3, 4, 5), 2)
+        out = matmul(a, b).values
+        for i in range(3):
+            np.testing.assert_allclose(out[i], a.values[i] @ b.values[i], rtol=1e-15)
+
+
+class TestHeads:
+    def test_split_blocks_and_merge_inverts(self):
+        x = rand((5, 6), 3)
+        q = split_heads(x, 2).values
+        k_t = split_heads(x, 2, keys=True).values
+        assert q.shape == (3, 5, 2) and k_t.shape == (3, 2, 5)
+        for h in range(3):
+            np.testing.assert_array_equal(q[h], x.values[:, 2 * h:2 * h + 2])
+            np.testing.assert_array_equal(k_t[h], x.values[:, 2 * h:2 * h + 2].T)
+        np.testing.assert_array_equal(merge_heads(Tensor(q)).values, x.values)
+
+    def test_split_width_error(self):
+        with pytest.raises(ValueError):
+            split_heads(rand((2, 5)), 2)
 
 
 class TestSoftmax:
@@ -85,6 +108,14 @@ class TestElementwise:
     def test_add_shape_error(self):
         with pytest.raises(ValueError):
             add(rand((2, 3)), rand((2, 2)))
+
+    def test_add_broadcasts_b_only(self):
+        out = add(rand((2, 3, 4), 1), rand((3, 4), 2))
+        assert out.values.shape == (2, 3, 4)
+        with pytest.raises(ValueError):
+            add(rand((3, 4)), rand((2, 3, 4)))
+        with pytest.raises(ValueError):
+            add(rand((1, 4)), rand((3, 4)))
 
     def test_dropout_identity_cases(self):
         x = rand((4, 4), 5)
@@ -199,14 +230,18 @@ class TestGradCheck:
         gamma = Tensor(rng.uniform(0.5, 1.5, size=n))
         beta = Tensor(rng.normal(size=n))
         b = Tensor(rng.normal(size=n))
+        c = Tensor(rng.normal(size=(1, m)))
+        d_k = n // 2 if n % 2 == 0 else n
         def build():
             tape = Tape()
             h = relu(add(matmul(x, w, tape), b, tape), tape)
             h = layer_norm(h, gamma, beta, tape)
             h = softmax(scale(h, 1.7, tape), tape)
-            h = concat_cols([h, h], tape)
-            return sum_all(matmul(h, concat_rows([w, w], tape), tape), tape), tape
-        assert grad_check(build, [x, w, gamma, beta, b]) <= 1e-4
+            q = split_heads(h, d_k, tape)
+            a = add(matmul(q, split_heads(h, d_k, tape, keys=True), tape), c, tape)
+            h = merge_heads(matmul(a, q, tape), tape)
+            return sum_all(matmul(concat_rows([h, h], tape), w, tape), tape), tape
+        assert grad_check(build, [x, w, gamma, beta, b, c]) <= 1e-4
 
     def test_cross_entropy_gradient(self):
         logits = rand((4, 6), 21)
