@@ -18,7 +18,7 @@ batch = [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
 
 def build():
     tape = Tape()
-    loss, _ = forward_training(batch, params, config, tape)
+    loss = forward_training(batch, params, config, tape)
     return loss, tape
 
 start = time.time()

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from .corpus import Vocabulary
-from .model import ModelConfig, Parameters, init_parameters
+from .model import ModelConfig, Parameters, build_parameters
 
 MAGIC = b"TRRGEN1"
 VERSION = 2
@@ -84,7 +84,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, "
                                   f"model expects {config.vocab_size}")
 
-        params = init_parameters(config, seed=config.seed)
+        params = build_parameters(config, lambda *shape: np.empty(shape))
         named = list(params.named())
         if manifest != [(name, t.values.shape) for name, t in named]:
             raise CheckpointError(f"{path}: tensor manifest does not match the model config")

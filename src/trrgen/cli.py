@@ -216,25 +216,41 @@ def cmd_generate(args) -> int:
     decode = cfg.decode_config()
     pre_cfg = cfg.preprocess_config()
 
-    def one(review, rating, category):
-        rec = C.ReviewRecord("", category, rating,
-                             C.normalize_text(review, pre_cfg), "")
-        rec.validate("input")
-        encoded = C.encode_record(rec, vocab, pre_cfg)
+    def encode(review, rating, category, where):
+        rec = C.ReviewRecord("", category, rating, C.normalize_text(review, pre_cfg), "")
+        rec.validate(where)
+        try:
+            return C.encode_record(rec, vocab, pre_cfg)
+        except C.CorpusError as exc:
+            raise C.CorpusError(f"{where}: {exc}") from None
+
+    def respond(encoded):
         return postprocess(generate(encoded, params, config, decode), vocab)
 
     if args.batch:
+        inputs = []  # every line is checked before the first response is generated
         with open(args.batch, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                obj = json.loads(line)
-                resp = one(obj["review"], int(obj["rating"]), obj["category"])
-                print(json.dumps({"input": obj, "response": resp}, ensure_ascii=False))
+                where = f"{args.batch}:{lineno}"
+                try:
+                    obj = json.loads(line)
+                    fields = (str(obj["review"]), int(obj["rating"]), str(obj["category"]))
+                except json.JSONDecodeError as exc:
+                    raise CliError(f"{where}: malformed JSON ({exc})") from None
+                except KeyError as exc:
+                    raise CliError(f"{where}: missing field {exc}") from None
+                except (TypeError, ValueError) as exc:
+                    raise CliError(f"{where}: expected an object with a review, an integer "
+                                   f"rating and a category ({exc})") from None
+                inputs.append((obj, encode(*fields, where)))
+        for obj, encoded in inputs:
+            print(json.dumps({"input": obj, "response": respond(encoded)}, ensure_ascii=False))
     else:
         if args.review is None or args.rating is None or args.category is None:
             raise CliError("generate requires --review, --rating and --category (or --batch)")
-        print(one(args.review, args.rating, args.category))
+        print(respond(encode(args.review, args.rating, args.category, "input")))
     return 0
 
 

@@ -1,7 +1,9 @@
 """Decoding a trained model into response text.
 
-All strategies are deterministic: greedy argmax (ties broken by lowest token
-id) or beam search over summed log-probabilities. There is no sampling path.
+Both strategies run one deterministic beam search over summed token
+log-probabilities: "beam" at `beam_width`, "greedy" at width 1, which picks
+the most probable token (ties broken by lowest token id) at each step. There
+is no sampling path.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord
-from .model import ModelConfig, Parameters, EncoderOutput, encode_review, decoder_forward
+from .model import (ModelConfig, ConfigError, Parameters, EncoderOutput, encode_review,
+                    decoder_forward)
 
 
 @dataclass
 class DecodeConfig:
     strategy: str = "greedy"
     beam_width: int = 4
-    max_len: int | None = None  # None -> model max_tgt_len
+    max_len: int | None = None  # None -> model max_tgt_len - 1, the longest allowed
     length_penalty: float = 0.0
 
     def __post_init__(self):
@@ -30,57 +33,54 @@ class DecodeConfig:
             raise ValueError("max_len must be >= 1")
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    m = row.max()
-    return row - m - np.log(np.exp(row - m).sum())
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row (last axis)."""
+    m = x.max(axis=-1, keepdims=True)
+    return x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
-def _step_logits(prefix, enc: EncoderOutput, params: Parameters, config: ModelConfig):
-    logits = decoder_forward(prefix, enc, params, config, tape=None)
-    return logits.values[-1]
+def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """(hypothesis, token) pairs of the k best entries of a [W, V] score array,
+    ordered by score descending, then token id, then hypothesis index.
 
-
-def greedy_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
-                  decode: DecodeConfig) -> list[int]:
-    """Append the argmax token until ⟨eos⟩ or max_len; ⟨sos⟩/⟨eos⟩ stripped."""
-    max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
-    prefix = [SOS_ID]
-    out = []
-    for _ in range(max_len):
-        nxt = int(np.argmax(_step_logits(prefix, enc, params, config)))
-        if nxt == EOS_ID:
-            break
-        out.append(nxt)
-        prefix.append(nxt)
-    return out
+    Linear in W·V: a partition finds the k-th score, and only the entries
+    above it plus the first ties in tie-break order are sorted.
+    """
+    w = scores.shape[0]
+    flat = scores.T.ravel()  # index tok * w + h, so ascending index is the tie-break
+    k = min(k, flat.size)
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    above = np.flatnonzero(flat > kth)
+    idx = np.concatenate([above, np.flatnonzero(flat == kth)[:k - above.size]])
+    idx = idx[np.lexsort((idx, -flat[idx]))]
+    return [(int(i % w), int(i // w)) for i in idx]
 
 
 def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
                 decode: DecodeConfig) -> list[int]:
-    """Beam search over summed token log-probabilities.
+    """Beam search over summed token log-probabilities; greedy is width 1.
 
-    Hypotheses that emit ⟨eos⟩ are retired; the best finished hypothesis (or,
-    failing any, the best live one) wins. Width 1 reproduces greedy exactly.
+    Each step scores every live hypothesis extended by every token and walks
+    the best 2·width candidates: those ending in ⟨eos⟩ are retired, the rest
+    stay live until `width` are. The best finished hypothesis (or, failing
+    any, the best live one) wins; ⟨sos⟩/⟨eos⟩ are stripped.
     """
     max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
-    width = decode.beam_width
+    if max_len > config.max_tgt_len - 1:
+        raise ConfigError(f"decode max_len {max_len} exceeds max_tgt_len - 1 "
+                          f"= {config.max_tgt_len - 1}")
+    width = decode.beam_width if decode.strategy == "beam" else 1
     live = [([SOS_ID], 0.0)]   # (prefix, summed logprob)
     finished: list[tuple[list[int], float]] = []
 
     for _ in range(max_len):
-        candidates = []
-        for prefix, score in live:
-            logp = _log_softmax(_step_logits(prefix, enc, params, config))
-            for tok in range(logp.shape[0]):
-                candidates.append((prefix, score + logp[tok], tok))
-        # stable preference: higher score first, then lower token id
-        candidates.sort(key=lambda c: (-c[1], c[2]))
-        live = []
-        for prefix, score, tok in candidates[: width * 2]:
-            if tok == EOS_ID:
-                finished.append((prefix + [tok], score))
-            else:
-                live.append((prefix + [tok], score))
+        logits = np.stack([decoder_forward(prefix, enc, params, config).values[-1]
+                           for prefix, _ in live])
+        scores = np.array([score for _, score in live])[:, None] + _log_softmax(logits)
+        beams, live = live, []
+        for h, tok in _top_candidates(scores, width * 2):
+            hyp = (beams[h][0] + [tok], scores[h, tok])
+            (finished if tok == EOS_ID else live).append(hyp)
             if len(live) >= width:
                 break
         if not live or len(finished) >= width:
@@ -101,22 +101,16 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
 
 def hypothesis_score(tokens: list[int], enc: EncoderOutput, params: Parameters,
                      config: ModelConfig) -> float:
-    """Summed log-probability the model assigns to `tokens` + ⟨eos⟩."""
-    prefix = [SOS_ID]
-    score = 0.0
-    for tok in tokens + [EOS_ID]:
-        logp = _log_softmax(_step_logits(prefix, enc, params, config))
-        score += logp[tok]
-        prefix.append(tok)
-    return score
+    """Summed log-probability the model assigns to `tokens` + ⟨eos⟩, from one
+    teacher-forced decoder pass over ⟨sos⟩ + `tokens`."""
+    logp = _log_softmax(decoder_forward([SOS_ID] + tokens, enc, params, config).values)
+    return float(logp[np.arange(len(tokens) + 1), tokens + [EOS_ID]].sum())
 
 
 def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,
              decode: DecodeConfig) -> list[int]:
     enc = encode_review(record, params, config, tape=None)
-    if decode.strategy == "beam":
-        return beam_decode(params, config, enc, decode)
-    return greedy_decode(params, config, enc, decode)
+    return beam_decode(params, config, enc, decode)
 
 
 def postprocess(token_ids: list[int], vocab: Vocabulary) -> str:

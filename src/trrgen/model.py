@@ -8,7 +8,8 @@ category (prepended as an extra position or summed in), selected by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -107,38 +108,17 @@ class Parameters:
     out_bias: Tensor
 
     def named(self):
-        """Deterministic (name, tensor) walk, used by the optimizer and checkpoints."""
+        """Deterministic (name, tensor) walk, used by the optimizer and checkpoints:
+        the embedding, then `enc{i}.<sublayer>.<weight>` and `dec{i}.…` in field
+        order (`self_attn`/`cross_attn` named `self`/`cross`), then the output layer."""
         yield "embedding", self.embedding
-
-        def attn(prefix, a):
-            yield f"{prefix}.wq", a.wq
-            yield f"{prefix}.wk", a.wk
-            yield f"{prefix}.wv", a.wv
-            yield f"{prefix}.wo", a.wo
-
-        for i, layer in enumerate(self.encoder):
-            yield from attn(f"enc{i}.self", layer.self_attn)
-            yield f"enc{i}.norm1.gamma", layer.norm1.gamma
-            yield f"enc{i}.norm1.beta", layer.norm1.beta
-            yield f"enc{i}.ffn.w1", layer.ffn.w1
-            yield f"enc{i}.ffn.b1", layer.ffn.b1
-            yield f"enc{i}.ffn.w2", layer.ffn.w2
-            yield f"enc{i}.ffn.b2", layer.ffn.b2
-            yield f"enc{i}.norm2.gamma", layer.norm2.gamma
-            yield f"enc{i}.norm2.beta", layer.norm2.beta
-        for i, layer in enumerate(self.decoder):
-            yield from attn(f"dec{i}.self", layer.self_attn)
-            yield f"dec{i}.norm1.gamma", layer.norm1.gamma
-            yield f"dec{i}.norm1.beta", layer.norm1.beta
-            yield from attn(f"dec{i}.cross", layer.cross_attn)
-            yield f"dec{i}.norm2.gamma", layer.norm2.gamma
-            yield f"dec{i}.norm2.beta", layer.norm2.beta
-            yield f"dec{i}.ffn.w1", layer.ffn.w1
-            yield f"dec{i}.ffn.b1", layer.ffn.b1
-            yield f"dec{i}.ffn.w2", layer.ffn.w2
-            yield f"dec{i}.ffn.b2", layer.ffn.b2
-            yield f"dec{i}.norm3.gamma", layer.norm3.gamma
-            yield f"dec{i}.norm3.beta", layer.norm3.beta
+        for prefix, layers in (("enc", self.encoder), ("dec", self.decoder)):
+            for i, layer in enumerate(layers):
+                for sub in fields(layer):
+                    block = getattr(layer, sub.name)
+                    for f in fields(block):
+                        name = f"{prefix}{i}.{sub.name.removesuffix('_attn')}.{f.name}"
+                        yield name, getattr(block, f.name)
         yield "out_proj", self.out_proj
         yield "out_bias", self.out_bias
 
@@ -158,36 +138,43 @@ class EncoderOutput:
 
 def _xavier(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
-    """Xavier-uniform weights, unit gammas, zero betas and biases; seed-determined."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+def build_parameters(config: ModelConfig, weight) -> Parameters:
+    """The parameter tree: weight matrices from `weight(fan_in, fan_out)`,
+    called in a fixed order, unit gammas, zero betas and biases. Loaders that
+    overwrite every tensor pass `np.empty`-like weights and draw nothing."""
     d, dk, dff, v = config.d_model, config.d_k, config.d_ff, config.vocab_size
 
     def heads():
-        # one Xavier block per head, drawn in head order, as fused columns
-        return Tensor(np.hstack([_xavier(rng, d, dk).values for _ in range(config.n_heads)]))
+        # one block per head, in head order, as fused columns
+        return Tensor(np.hstack([weight(d, dk) for _ in range(config.n_heads)]))
 
     def attn():
-        return AttentionParams(wq=heads(), wk=heads(), wv=heads(), wo=_xavier(rng, d, d))
+        return AttentionParams(wq=heads(), wk=heads(), wv=heads(), wo=Tensor(weight(d, d)))
 
     def ffn():
-        return FeedForwardParams(w1=_xavier(rng, d, dff), b1=Tensor(np.zeros(dff)),
-                                 w2=_xavier(rng, dff, d), b2=Tensor(np.zeros(d)))
+        return FeedForwardParams(w1=Tensor(weight(d, dff)), b1=Tensor(np.zeros(dff)),
+                                 w2=Tensor(weight(dff, d)), b2=Tensor(np.zeros(d)))
 
     def norm():
         return NormParams(gamma=Tensor(np.ones(d)), beta=Tensor(np.zeros(d)))
 
     return Parameters(
-        embedding=_xavier(rng, v, d),
+        embedding=Tensor(weight(v, d)),
         encoder=[EncoderLayerParams(attn(), norm(), ffn(), norm())
                  for _ in range(config.n_layers)],
         decoder=[DecoderLayerParams(attn(), norm(), attn(), norm(), ffn(), norm())
                  for _ in range(config.n_layers)],
-        out_proj=_xavier(rng, d, v),
+        out_proj=Tensor(weight(d, v)),
         out_bias=Tensor(np.zeros(v)))
+
+
+def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
+    """Xavier-uniform weights, unit gammas, zero betas and biases; seed-determined."""
+    rng = np.random.default_rng(config.seed if seed is None else seed)
+    return build_parameters(config, partial(_xavier, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +214,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
     q = split_heads(matmul(x_q, p.wq, tape), d_k, tape)
     k_t = split_heads(matmul(x_kv, p.wk, tape), d_k, tape, keys=True)
     v = split_heads(matmul(x_kv, p.wv, tape), d_k, tape)
-    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(d_k), tape), Tensor(mask), tape)
+    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(d_k), tape), mask, tape)
     attn = softmax(scores, tape, axis=-1)
     z = matmul(merge_heads(matmul(attn, v, tape), tape), p.wo, tape)
     if return_weights:
@@ -275,7 +262,7 @@ def embed_review(src_ids, rating_id: int, category_id: int, variant: str,
     if variant == "trrgen_sum":
         c = embedding_lookup(params.embedding, [category_id], tape)
         x = add(x, c, tape)
-    x = add(x, Tensor(positional_encoding(n, d)), tape)
+    x = add(x, positional_encoding(n, d), tape)
 
     if variant in ("category_only", "trrgen_concat"):
         c = embedding_lookup(params.embedding, [category_id], tape)
@@ -316,7 +303,7 @@ def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
         raise ConfigError(f"target length {t} exceeds max_tgt_len {config.max_tgt_len}")
     d = config.d_model
     h = add(embedding_lookup(params.embedding, tgt_input_ids, tape),
-            Tensor(positional_encoding(t, d)), tape)
+            positional_encoding(t, d), tape)
     h = dropout(h, config.dropout, training, tape, rng)
     self_mask = causal_mask(t)
     cross_mask = np.broadcast_to(enc.src_mask, (t, enc.src_mask.shape[-1])).copy()
@@ -347,19 +334,17 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
                      rng: np.random.Generator | None = None):
     """Teacher-forced loss over a batch: mean NLL over all target positions.
 
-    Returns (loss, logits_list). Examples are processed individually, so no
-    padding positions enter the loss.
+    Examples are processed individually, so no padding positions enter the
+    loss.
     """
     if not batch:
         raise ValueError("empty batch")
     training = rng is not None
     total = None
     count = 0
-    logits_list = []
     for rec in batch:
         enc = encode_review(rec, params, config, tape, training, rng)
         logits = decoder_forward(rec.tgt_ids[:-1], enc, params, config, tape, training, rng)
-        logits_list.append(logits)
         ce = cross_entropy_logits(logits, rec.tgt_ids[1:], ignore_id=PAD_ID,
                                   tape=tape, reduction="sum")
         total = ce if total is None else add(total, ce, tape)
@@ -367,4 +352,4 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
     loss = scale(total, 1.0 / count, tape)
     if not np.isfinite(loss.values):
         raise FloatingPointError("non-finite training loss")
-    return loss, logits_list
+    return loss

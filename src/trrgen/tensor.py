@@ -115,9 +115,11 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """Element-wise sum; `b` is broadcast onto the shape of `a`."""
-    av, bv = a.values, b.values
+def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
+    """Element-wise sum; `b` is broadcast onto the shape of `a`. A plain
+    array `b` is a constant, such as a mask, and receives no gradient."""
+    av = a.values
+    bv = b.values if isinstance(b, Tensor) else b
     if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
     out = Tensor(av + bv)
@@ -127,7 +129,8 @@ def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
             if out.grad is None:
                 return
             _accum(a, out.grad)
-            _accum(b, _unbroadcast(out.grad, bv.shape))
+            if isinstance(b, Tensor):
+                _accum(b, _unbroadcast(out.grad, bv.shape))
         tape.record(bwd)
     return out
 

@@ -41,7 +41,7 @@ def _epoch_loss(records: list[EncodedRecord], params: Parameters,
     total, count = 0.0, 0
     for i in range(0, len(records), batch_size):
         batch = records[i:i + batch_size]
-        loss, _ = forward_training(batch, params, config, tape=None)
+        loss = forward_training(batch, params, config, tape=None)
         n = sum(len(r.tgt_ids) - 1 for r in batch)
         total += float(loss.values) * n
         count += n
@@ -83,7 +83,7 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
             batch = [train[j] for j in idx[i:i + opts.batch_size]]
             tape = Tape()
             rng = dropout_rng if config.dropout > 0 else None
-            loss, _ = forward_training(batch, params, config, tape, rng)
+            loss = forward_training(batch, params, config, tape, rng)
             zero_grads(tensors)
             tape.backward(loss)
             adam_step(tensors, state)

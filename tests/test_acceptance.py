@@ -20,11 +20,12 @@ from trrgen.corpus import (PreprocessConfig, ReviewRecord, EncodedRecord,
                            split_sentences, EOS_ID)
 from trrgen.tensor import Tensor, Tape, grad_check, _accum
 from trrgen.training import TrainOptions, train_model
-from trrgen.generation import DecodeConfig, greedy_decode, beam_decode, generate, postprocess
+from trrgen.generation import DecodeConfig, beam_decode, generate, postprocess
 from trrgen.evaluation import corpus_bleu, brevity_penalty, random_selection_baseline
 from trrgen.checkpoint import save_checkpoint, load_checkpoint
 
 from bleu_oracle import oracle_bleu, oracle_precision_counts
+from decode_reference import greedy_decode as reference_greedy
 from conftest import (category_corpus, rating_corpus, encode_corpus,
                       build_tiny_setup, make_records)
 
@@ -48,7 +49,7 @@ def test_c01_gradient_correctness():
 
     def build():
         tape = Tape()
-        loss, _ = M.forward_training(batch, params, config, tape)
+        loss = M.forward_training(batch, params, config, tape)
         return loss, tape
 
     start = time.time()
@@ -325,9 +326,10 @@ def test_c13_beam_greedy_consistency():
         params = M.init_parameters(config, seed=seed)
         rec = EncodedRecord([9 + seed % 3, 10, 11 + seed % 2], [2, 3], 4, 9)
         enc = M.encode_review(rec, params, config)
-        greedy = greedy_decode(params, config, enc, DecodeConfig())
+        reference = reference_greedy(params, config, enc, DecodeConfig())
+        greedy = beam_decode(params, config, enc, DecodeConfig())
         beam = beam_decode(params, config, enc,
                            DecodeConfig(strategy="beam", beam_width=1))
-        assert beam == greedy, f"seed {seed}"
+        assert greedy == reference and beam == reference, f"seed {seed}"
         matched += 1
     report("criterion 13 beam/greedy consistency", f"{matched}/50 seeds token-identical")

@@ -6,6 +6,7 @@ import pytest
 
 from trrgen.checkpoint import save_checkpoint, load_checkpoint, CheckpointError, MAGIC
 from trrgen.corpus import ReviewRecord, build_vocabulary
+from trrgen import model
 from trrgen.model import ModelConfig, init_parameters
 
 
@@ -31,6 +32,20 @@ def test_round_trip_bitwise(tmp_path, setup):
     assert run_cfg == {"lr": 0.001} and meta == {"best_epoch": 3}
     for (na, ta), (nb, tb) in zip(params.named(), loaded.named()):
         assert na == nb
+        assert np.array_equal(ta.values, tb.values)
+
+
+def test_load_draws_no_random_numbers(tmp_path, setup, monkeypatch):
+    params, config, vocab = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config, vocab)
+
+    def no_draw(*args):
+        raise AssertionError("load_checkpoint drew random weights")
+
+    monkeypatch.setattr(model, "_xavier", no_draw)
+    loaded, *_ = load_checkpoint(path)
+    for (_, ta), (_, tb) in zip(params.named(), loaded.named()):
         assert np.array_equal(ta.values, tb.values)
 
 

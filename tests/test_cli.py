@@ -155,6 +155,32 @@ class TestTrainGenerateEvaluate:
         obj = json.loads(out[-1])
         assert "response" in obj and obj["input"]["rating"] == 5
 
+    def test_generate_batch_bad_line_fails(self, trained, tmp_path, capsys):
+        good = json.dumps({"review": "love it", "rating": 5, "category": "GAME"})
+        batch = tmp_path / "batch.jsonl"
+        for bad in ['{"review": "love it", "rating": 5}',
+                    '{"review": "love it", "category": "GAME"}',
+                    '{"rating": 5, "category": "GAME"}',
+                    '["love it", 5, "GAME"]', '"love it"', 'null',
+                    '{"review": "love it", "rating": 5,',
+                    '{"review": "love it", "rating": "five", "category": "GAME"}',
+                    '{"review": "love it", "rating": 9, "category": "GAME"}',
+                    '{"review": "love it", "rating": 5, "category": "FOO"}']:
+            batch.write_text(good + "\n\n" + bad + "\n" + good + "\n")
+            assert run(["generate", "--checkpoint", trained, "--batch", batch]) == 1, bad
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {batch}:3: "), (bad, err)
+            assert captured.out == "", bad
+
+    def test_generate_max_len_above_model_limit_fails(self, trained, capsys):
+        assert run(["generate", "--checkpoint", trained, "--review", "love it",
+                    "--rating", 5, "--category", "GAME", "--decode-max-len", 500]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "max_len" in err[0]
+        assert captured.out == ""
+
     def test_evaluate_emits_report(self, trained, corpus_file, capsys):
         assert run(["evaluate", "--checkpoint", trained, "--test", corpus_file]) == 0
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

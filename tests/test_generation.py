@@ -5,8 +5,10 @@ from trrgen import model as M
 from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
                            tokenize, EOS_ID)
-from trrgen.generation import (DecodeConfig, greedy_decode, beam_decode,
-                               hypothesis_score, generate, postprocess)
+from trrgen.generation import (DecodeConfig, beam_decode, hypothesis_score,
+                               generate, postprocess)
+
+import decode_reference as ref
 
 
 def random_model(seed, vocab_size=14):
@@ -36,20 +38,20 @@ class TestGreedy:
         params.out_proj.values[:] = 0.0
         params.out_bias.values[:] = 0.0
         params.out_bias.values[EOS_ID] = 100.0
-        out = greedy_decode(params, config, enc_for(params, config), DecodeConfig())
+        out = beam_decode(params, config, enc_for(params, config), DecodeConfig())
         assert out == []
 
     def test_length_bounded(self):
         params, config = random_model(1)
         decode = DecodeConfig(max_len=4)
-        out = greedy_decode(params, config, enc_for(params, config), decode)
+        out = beam_decode(params, config, enc_for(params, config), decode)
         assert len(out) <= 4
 
     def test_deterministic(self):
         params, config = random_model(2)
         enc = enc_for(params, config)
-        a = greedy_decode(params, config, enc, DecodeConfig())
-        b = greedy_decode(params, config, enc, DecodeConfig())
+        a = beam_decode(params, config, enc, DecodeConfig())
+        b = beam_decode(params, config, enc, DecodeConfig())
         assert a == b
 
 
@@ -58,7 +60,7 @@ class TestBeam:
     def test_width_one_equals_greedy(self, seed):
         params, config = random_model(seed)
         enc = enc_for(params, config, src=(9 + seed % 3, 10, 12))
-        greedy = greedy_decode(params, config, enc, DecodeConfig())
+        greedy = ref.greedy_decode(params, config, enc, DecodeConfig())
         beam = beam_decode(params, config, enc, DecodeConfig(strategy="beam",
                                                              beam_width=1))
         assert beam == greedy
@@ -69,7 +71,7 @@ class TestBeam:
         params.out_proj.values *= 2.5          # sharpen the distribution
         params.out_bias.values[EOS_ID] += 2.0  # so hypotheses terminate with ⟨eos⟩
         enc = enc_for(params, config)
-        greedy = greedy_decode(params, config, enc, DecodeConfig())
+        greedy = beam_decode(params, config, enc, DecodeConfig())
         beam = beam_decode(params, config, enc,
                            DecodeConfig(strategy="beam", beam_width=4))
         if len(greedy) >= config.max_tgt_len - 1 or len(beam) >= config.max_tgt_len - 1:
@@ -86,6 +88,74 @@ class TestBeam:
         enc = enc_for(params, config)
         assert beam_decode(params, config, enc,
                            DecodeConfig(strategy="beam", beam_width=4)) == []
+
+
+def seeded_and_eos_boosted(seed):
+    params, config = random_model(seed)
+    yield "seeded", params, config
+    params, config = random_model(seed)
+    params.out_proj.values *= 2.5          # sharpened, as in test_beam_score_at_least_greedy
+    params.out_bias.values[EOS_ID] += 2.0
+    yield "eos_boosted", params, config
+
+
+def tied(seed):
+    """Logits that do not depend on the input: all equal, then a few levels
+    shared by many tokens, ⟨eos⟩ among them."""
+    params, config = random_model(seed)
+    params.out_proj.values[:] = 0.0
+    yield "all_ties", params, config
+    params, config = random_model(seed)
+    params.out_proj.values[:] = 0.0
+    params.out_bias.values[:] = np.random.default_rng(seed).integers(0, 3, config.vocab_size)
+    yield "tied_levels", params, config
+
+
+class TestMatchesReference:
+    """The one beam loop against the loop-based decoders of decode_reference."""
+
+    @staticmethod
+    def check(seed, cases):
+        for label, params, config in cases:
+            enc = enc_for(params, config, src=(9 + seed % 3, 10, 11 + seed % 2))
+            cap = config.max_tgt_len - 1
+            for max_len in (cap, 1 + seed % (cap - 1)):
+                greedy = DecodeConfig(max_len=max_len)
+                assert (beam_decode(params, config, enc, greedy)
+                        == ref.greedy_decode(params, config, enc, greedy)), (label, max_len)
+                for width in range(1, 6):
+                    decode = DecodeConfig(strategy="beam", beam_width=width, max_len=max_len,
+                                          length_penalty=(seed % 3) / 2)
+                    assert (beam_decode(params, config, enc, decode)
+                            == ref.beam_decode(params, config, enc, decode)), (label, max_len, width)
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_token_identical(self, seed):
+        self.check(seed, seeded_and_eos_boosted(seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_token_identical_under_ties(self, seed):
+        self.check(seed, tied(seed))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_teacher_forced_score(self, seed):
+        params, config = random_model(seed)
+        enc = enc_for(params, config)
+        rng = np.random.default_rng(seed)
+        for n in (0, 1, config.max_tgt_len - 1):
+            tokens = [int(t) for t in rng.integers(0, config.vocab_size, n)]
+            expected = ref.hypothesis_score(tokens, enc, params, config)
+            got = hypothesis_score(tokens, enc, params, config)
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    def test_max_len_above_cap_rejected_before_decoding(self, monkeypatch):
+        params, config = random_model(0)
+        enc = enc_for(params, config)
+        monkeypatch.setattr("trrgen.generation.decoder_forward", None)
+        for decode in (DecodeConfig(max_len=config.max_tgt_len),
+                       DecodeConfig(strategy="beam", max_len=500)):
+            with pytest.raises(M.ConfigError, match="max_len"):
+                beam_decode(params, config, enc, decode)
 
 
 class TestPostprocess:

@@ -356,13 +356,13 @@ class TestForwardTraining:
         params = M.init_parameters(tiny_config)
         params.out_proj.values[:] = 0.0
         params.out_bias.values[:] = 0.0
-        loss, _ = M.forward_training(self.records(), params, tiny_config)
+        loss = M.forward_training(self.records(), params, tiny_config)
         np.testing.assert_allclose(float(loss.values), math.log(20), atol=1e-12)
 
     def test_duplicated_batch_same_mean_loss(self, tiny_config, tiny_params):
         recs = self.records()
-        l1, _ = M.forward_training(recs, tiny_params, tiny_config)
-        l2, _ = M.forward_training(recs + recs, tiny_params, tiny_config)
+        l1 = M.forward_training(recs, tiny_params, tiny_config)
+        l2 = M.forward_training(recs + recs, tiny_params, tiny_config)
         np.testing.assert_allclose(float(l1.values), float(l2.values), atol=1e-12)
 
     def test_empty_batch_rejected(self, tiny_config, tiny_params):
@@ -370,15 +370,15 @@ class TestForwardTraining:
             M.forward_training([], tiny_params, tiny_config)
 
     def test_determinism(self, tiny_config, tiny_params):
-        l1, _ = M.forward_training(self.records(), tiny_params, tiny_config)
-        l2, _ = M.forward_training(self.records(), tiny_params, tiny_config)
+        l1 = M.forward_training(self.records(), tiny_params, tiny_config)
+        l2 = M.forward_training(self.records(), tiny_params, tiny_config)
         assert float(l1.values) == float(l2.values)
 
     def test_full_model_grad_check(self, tiny_config, tiny_params):
         recs = self.records()
         def build():
             tape = Tape()
-            loss, _ = M.forward_training(recs, tiny_params, tiny_config, tape)
+            loss = M.forward_training(recs, tiny_params, tiny_config, tape)
             return loss, tape
         assert grad_check(build, tiny_params.all_tensors()) <= 1e-4
 

@@ -117,6 +117,25 @@ class TestElementwise:
         with pytest.raises(ValueError):
             add(rand((1, 4)), rand((3, 4)))
 
+    def test_add_constant_array_backpropagates_into_a_only(self):
+        x = rand((3, 5), 1)
+        c = np.random.default_rng(2).normal(size=(3, 5))
+        targets = [0, 4, 2]
+
+        def build(b):
+            tape = Tape()
+            return cross_entropy_logits(add(x, b, tape), targets, tape=tape), tape
+
+        assert grad_check(lambda: build(c), [x]) < 1e-6
+        x.zero_grad()
+        loss, tape = build(c)
+        tape.backward(loss)
+        from_constant = x.grad
+        x.zero_grad()
+        loss, tape = build(Tensor(c))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, from_constant)
+
     def test_dropout_identity_cases(self):
         x = rand((4, 4), 5)
         assert dropout(x, 0.0, True, rng=np.random.default_rng(0)) is x

@@ -19,9 +19,9 @@ def test_loss_decreases_after_one_epoch():
     encoded, config = setup_tiny()
     opts = TrainOptions(lr=1e-3, batch_size=8, epochs=1, seed=0)
     result = train_model(encoded, [], config, opts)
-    first, _ = forward_training(encoded, result.params, config)
+    first = forward_training(encoded, result.params, config)
     from trrgen.model import init_parameters
-    initial, _ = forward_training(encoded, init_parameters(config, seed=0), config)
+    initial = forward_training(encoded, init_parameters(config, seed=0), config)
     assert float(first.values) < float(initial.values)
 
 
