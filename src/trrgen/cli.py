@@ -3,6 +3,8 @@ generate, evaluate, ablate.
 
 Configuration is a flat JSON key-value file; every key can be overridden by a
 same-named command-line flag (flags win), and TRRGEN_SEED overrides the seed.
+`generate` and `evaluate` take the model and training settings from the
+checkpoint and reject flags for them.
 All machine outputs are UTF-8 JSON-Lines. Failures exit nonzero with a single
 "error: ..." line on stderr.
 """
@@ -127,9 +129,22 @@ def _add_config_flags(parser: argparse.ArgumentParser):
                             type=caster, default=None, help=argparse.SUPPRESS)
 
 
-def _config_from_args(args) -> RunConfig:
+# Settings that `generate` and `evaluate` read from the checkpoint or never
+# use; a flag for one of them there would be silently ignored.
+MODEL_AND_TRAINING_KEYS = ({f.name for f in dataclasses.fields(ModelConfig)}
+                           | {f.name for f in dataclasses.fields(TrainOptions)})
+
+
+def _config_from_args(args, reject=frozenset()) -> RunConfig:
+    """The run configuration; a flag naming a key in `reject` is an error,
+    while the same key in the `--config` file is allowed."""
     overrides = {f.name: getattr(args, f.name, None)
                  for f in dataclasses.fields(RunConfig)}
+    given = [f"--{k.replace('_', '-')}" for k, v in overrides.items()
+             if v is not None and k in reject]
+    if given:
+        raise CliError(f"{args.command} takes model and training settings from the "
+                       f"checkpoint; it does not accept {', '.join(given)}")
     return load_run_config(args.config, overrides)
 
 
@@ -211,8 +226,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
-    cfg = _config_from_args(args)
     decode = cfg.decode_config()
     pre_cfg = cfg.preprocess_config()
 
@@ -236,12 +251,12 @@ def cmd_generate(args) -> int:
                 where = f"{args.batch}:{lineno}"
                 try:
                     obj = json.loads(line)
-                    fields = (str(obj["review"]), int(obj["rating"]), str(obj["category"]))
+                    fields = (str(obj["review"]), obj["rating"], str(obj["category"]))
                 except json.JSONDecodeError as exc:
                     raise CliError(f"{where}: malformed JSON ({exc})") from None
                 except KeyError as exc:
                     raise CliError(f"{where}: missing field {exc}") from None
-                except (TypeError, ValueError) as exc:
+                except TypeError as exc:
                     raise CliError(f"{where}: expected an object with a review, an integer "
                                    f"rating and a category ({exc})") from None
                 inputs.append((obj, encode(*fields, where)))
@@ -255,8 +270,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
-    cfg = _config_from_args(args)
     pre_cfg = cfg.preprocess_config()
     records = C.load_corpus(args.test)
     if not records:

@@ -47,8 +47,10 @@ class ReviewRecord:
     response_text: str = ""
 
     def validate(self, where: str = "record"):
-        if self.rating not in (1, 2, 3, 4, 5):
-            raise CorpusError(f"{where}: rating must be in [1,5], got {self.rating!r}")
+        # `type` and not `isinstance`: JSON true is a bool, and bool is an int
+        if type(self.rating) is not int or not 1 <= self.rating <= 5:
+            raise CorpusError(f"{where}: rating must be an integer in [1,5], "
+                              f"got {self.rating!r}")
         if not self.review_text.strip():
             raise CorpusError(f"{where}: empty review text")
 
@@ -106,9 +108,9 @@ def load_corpus(path, fmt: str = "jsonl") -> list[ReviewRecord]:
                     raise CorpusError(f"{where}: malformed JSON ({exc})") from None
                 try:
                     rec = ReviewRecord(str(obj["app_name"]), str(obj["category"]),
-                                       int(obj["rating"]), str(obj["review"]),
+                                       obj["rating"], str(obj["review"]),
                                        str(obj.get("response", "")))
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError) as exc:
                     raise CorpusError(f"{where}: bad record ({exc})") from None
             elif fmt == "tsv":
                 cols = line.split("\t")

@@ -60,10 +60,12 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
                 decode: DecodeConfig) -> list[int]:
     """Beam search over summed token log-probabilities; greedy is width 1.
 
-    Each step scores every live hypothesis extended by every token and walks
-    the best 2·width candidates: those ending in ⟨eos⟩ are retired, the rest
-    stay live until `width` are. The best finished hypothesis (or, failing
-    any, the best live one) wins; ⟨sos⟩/⟨eos⟩ are stripped.
+    Each step runs the decoder once over the [W, t] array of live prefixes,
+    which share the review's encoder states, scores every hypothesis extended
+    by every token and walks the best 2·width candidates: those ending in
+    ⟨eos⟩ are retired, the rest stay live until `width` are. The best finished
+    hypothesis (or, failing any, the best live one) wins; ⟨sos⟩/⟨eos⟩ are
+    stripped.
     """
     max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
     if max_len > config.max_tgt_len - 1:
@@ -74,8 +76,8 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
     finished: list[tuple[list[int], float]] = []
 
     for _ in range(max_len):
-        logits = np.stack([decoder_forward(prefix, enc, params, config).values[-1]
-                           for prefix, _ in live])
+        prefixes = np.array([prefix for prefix, _ in live])
+        logits = decoder_forward(prefixes, enc, params, config).values[:, -1]
         scores = np.array([score for _, score in live])[:, None] + _log_softmax(logits)
         beams, live = live, []
         for h, tok in _top_candidates(scores, width * 2):

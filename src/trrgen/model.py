@@ -128,8 +128,8 @@ class Parameters:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor          # fused-length x d_model
-    src_mask: np.ndarray    # additive row mask over key positions (0 or -inf)
+    states: Tensor          # [..., fused length, d_model]
+    src_mask: np.ndarray    # additive key mask (0 or -inf), broadcast onto the scores
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +207,14 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
                          p: AttentionParams, tape: Tape | None,
                          d_k: int, return_weights: bool = False):
     """softmax(Q Kᵀ / sqrt(d_k) + mask) V for all heads at once, merged and
-    projected by Wo; with `return_weights`, also the [H, Tq, Tk] weights."""
-    if mask.shape != (x_q.values.shape[0], x_kv.values.shape[0]):
-        raise ConfigError(f"mask shape {mask.shape} does not match "
-                          f"{(x_q.values.shape[0], x_kv.values.shape[0])}")
+    projected by Wo; with `return_weights`, also the [..., H, Tq, Tk] weights.
+
+    Inputs are [..., T, d] with leading batch axes that broadcast, such as
+    [W, Tq, d] queries against one [Tk, d] encoder output; the additive mask
+    broadcasts onto the [..., H, Tq, Tk] scores."""
+    tq, tk = x_q.values.shape[-2], x_kv.values.shape[-2]
+    if any(m not in (1, n) for n, m in zip((tk, tq), mask.shape[::-1])):
+        raise ConfigError(f"mask shape {mask.shape} does not broadcast to {(tq, tk)}")
     q = split_heads(matmul(x_q, p.wq, tape), d_k, tape)
     k_t = split_heads(matmul(x_kv, p.wk, tape), d_k, tape, keys=True)
     v = split_heads(matmul(x_kv, p.wv, tape), d_k, tape)
@@ -235,8 +239,8 @@ def sublayer_connect(x: Tensor, fx: Tensor, norm: NormParams, tape: Tape | None)
 # embedding fusion
 
 
-def embed_review(src_ids, rating_id: int, category_id: int, variant: str,
-                 params: Parameters, tape: Tape | None = None) -> Tensor:
+def embed_review(src_ids, rating_id: int | np.ndarray, category_id: int | np.ndarray,
+                 variant: str, params: Parameters, tape: Tape | None = None) -> Tensor:
     """Build the encoder input sequence for the chosen fusion variant.
 
     With w_i the token embedding, r/c the rating/category embedding rows and
@@ -249,28 +253,29 @@ def embed_review(src_ids, rating_id: int, category_id: int, variant: str,
       trrgen_sum     x_i = w_i + r + c + p_i    X = [x_1..x_n]
       trrgen_order   x_i = w_i + p_i            X = [c, r, x_1..x_n]
 
-    Prepended feature slots carry no positional or rating term.
+    Prepended feature slots carry no positional or rating term. `src_ids` is
+    [..., n]; the rating and category ids are scalars or arrays that broadcast
+    to its leading axes, and the result is [..., fused length, d_model].
     """
     if variant not in FUSION_VARIANTS:
         raise ConfigError(f"unknown fusion_variant {variant!r}")
-    n = len(src_ids)
+    *lead, n = np.shape(src_ids)
     d = params.embedding.values.shape[1]
+
+    def feature(ids):  # one [..., 1, d] row per review
+        return embedding_lookup(params.embedding, np.broadcast_to(ids, lead)[..., None], tape)
+
     x = embedding_lookup(params.embedding, src_ids, tape)
     if variant in ("rating_only", "trrgen_concat", "trrgen_sum"):
-        r = embedding_lookup(params.embedding, [rating_id], tape)
-        x = add(x, r, tape)
+        x = add(x, feature(rating_id), tape)
     if variant == "trrgen_sum":
-        c = embedding_lookup(params.embedding, [category_id], tape)
-        x = add(x, c, tape)
+        x = add(x, feature(category_id), tape)
     x = add(x, positional_encoding(n, d), tape)
 
     if variant in ("category_only", "trrgen_concat"):
-        c = embedding_lookup(params.embedding, [category_id], tape)
-        return concat_rows([c, x], tape)
+        return concat_rows([feature(category_id), x], tape)
     if variant == "trrgen_order":
-        c = embedding_lookup(params.embedding, [category_id], tape)
-        r = embedding_lookup(params.embedding, [rating_id], tape)
-        return concat_rows([c, r, x], tape)
+        return concat_rows([feature(category_id), feature(rating_id), x], tape)
     return x
 
 
@@ -281,11 +286,11 @@ def embed_review(src_ids, rating_id: int, category_id: int, variant: str,
 def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelConfig,
            tape: Tape | None = None, training: bool = False,
            rng: np.random.Generator | None = None) -> EncoderOutput:
-    n = x.values.shape[0]
-    mask = np.broadcast_to(src_mask, (n, src_mask.shape[-1])).copy()
+    """Encoder states for [..., n, d] inputs; `src_mask` is an additive key
+    mask that broadcasts onto the [..., H, n, n] attention scores."""
     h = dropout(x, config.dropout, training, tape, rng)
     for layer in params.encoder:
-        z = multi_head_attention(h, h, mask, layer.self_attn, tape, config.d_k)
+        z = multi_head_attention(h, h, src_mask, layer.self_attn, tape, config.d_k)
         z = dropout(z, config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm1, tape)
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
@@ -297,8 +302,10 @@ def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
                     config: ModelConfig, tape: Tape | None = None,
                     training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
-    """Logits [T x V] from the ⟨sos⟩-shifted target; causally masked self-attention."""
-    t = len(tgt_input_ids)
+    """Logits [..., T, V] from ⟨sos⟩-shifted targets [..., T]; causally masked
+    self-attention. Leading axes of the targets broadcast against those of
+    `enc`, so W prefixes of one review share its encoder states."""
+    t = np.shape(tgt_input_ids)[-1]
     if t > config.max_tgt_len:
         raise ConfigError(f"target length {t} exceeds max_tgt_len {config.max_tgt_len}")
     d = config.d_model
@@ -306,12 +313,11 @@ def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
             positional_encoding(t, d), tape)
     h = dropout(h, config.dropout, training, tape, rng)
     self_mask = causal_mask(t)
-    cross_mask = np.broadcast_to(enc.src_mask, (t, enc.src_mask.shape[-1])).copy()
     for layer in params.decoder:
         z = multi_head_attention(h, h, self_mask, layer.self_attn, tape, config.d_k)
         z = dropout(z, config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm1, tape)
-        z = multi_head_attention(h, enc.states, cross_mask, layer.cross_attn, tape, config.d_k)
+        z = multi_head_attention(h, enc.states, enc.src_mask, layer.cross_attn, tape, config.d_k)
         z = dropout(z, config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm2, tape)
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)

@@ -1,9 +1,13 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A `Tape` records every primitive applied to tensors during a forward pass.
-Calling `backward` replays the recorded entries in reverse order, accumulating
-gradients into each tensor's `.grad` array. Passing `tape=None` to any
-primitive runs it in inference mode (no recording, no gradients).
+Calling `Tape.backward` replays the recorded entries in reverse order,
+accumulating gradients into each tensor's `.grad` array. Passing `tape=None` to
+any primitive runs it in inference mode (no recording, no gradients).
+
+Every primitive records its backward rule through one helper, `_record`, and
+takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
+run the same code.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ __all__ = [
     "dropout",
     "cross_entropy_logits",
     "sum_all",
-    "backward",
     "grad_check",
 ]
 
@@ -39,10 +42,6 @@ class Tensor:
     def __init__(self, values, dtype=np.float64):
         self.values = np.asarray(values, dtype=dtype)
         self.grad = None
-
-    @property
-    def shape(self):
-        return self.values.shape
 
     def zero_grad(self):
         self.grad = None
@@ -83,6 +82,7 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor):
+        """Populate `.grad` on every tensor reachable from `loss` through the tape."""
         if loss.values.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.values.shape}")
         loss.grad = np.ones_like(loss.values)
@@ -90,9 +90,16 @@ class Tape:
             fn()
 
 
-def backward(tape: Tape, loss: Tensor):
-    """Populate `.grad` on every tensor reachable from `loss` through `tape`."""
-    tape.backward(loss)
+def _record(tape: Tape | None, out: Tensor, grad_fn) -> Tensor:
+    """Record `grad_fn(out.grad)` on `tape`, skipped when no gradient reached
+    `out`; returns `out`. With no tape nothing is recorded."""
+    if tape is not None:
+        def bwd():
+            if out.grad is None:
+                return
+            grad_fn(out.grad)
+        tape.record(bwd)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +110,11 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     """a @ b; operands of more than two axes are stacks of matrices."""
     if a.values.shape[-1] != b.values.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.values.shape} x {b.values.shape}")
-    out = Tensor(a.values @ b.values)
 
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, _unbroadcast(out.grad @ b.values.swapaxes(-1, -2), a.values.shape))
-            _accum(b, _unbroadcast(a.values.swapaxes(-1, -2) @ out.grad, b.values.shape))
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        _accum(a, _unbroadcast(g @ b.values.swapaxes(-1, -2), a.values.shape))
+        _accum(b, _unbroadcast(a.values.swapaxes(-1, -2) @ g, b.values.shape))
+    return _record(tape, Tensor(a.values @ b.values), bwd)
 
 
 def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -122,40 +124,21 @@ def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
     bv = b.values if isinstance(b, Tensor) else b
     if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
-    out = Tensor(av + bv)
 
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad)
-            if isinstance(b, Tensor):
-                _accum(b, _unbroadcast(out.grad, bv.shape))
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        _accum(a, g)
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(g, bv.shape))
+    return _record(tape, Tensor(av + bv), bwd)
 
 
 def scale(a: Tensor, s: float, tape: Tape | None = None) -> Tensor:
-    out = Tensor(a.values * s)
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * s)
-        tape.record(bwd)
-    return out
+    return _record(tape, Tensor(a.values * s), lambda g: _accum(a, g * s))
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.maximum(a.values, 0.0))
-    if tape is not None:
-        mask = a.values > 0
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * mask)
-        tape.record(bwd)
-    return out
+    return _record(tape, Tensor(np.maximum(a.values, 0.0)),
+                   lambda g: _accum(a, g * (a.values > 0)))
 
 
 def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
@@ -168,16 +151,8 @@ def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y)
-        tape.record(bwd)
-    return out
+    return _record(tape, Tensor(y),
+                   lambda g: _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -192,87 +167,61 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     var = x.values.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.values - mu) * inv
-    out = Tensor(xhat * gamma.values + beta.values)
 
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accum(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-            _accum(beta, g.sum(axis=tuple(range(g.ndim - 1))))
-            gx = g * gamma.values
-            _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
-                       - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        _accum(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+        _accum(beta, g.sum(axis=tuple(range(g.ndim - 1))))
+        gx = g * gamma.values
+        _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
+                   - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
+    return _record(tape, Tensor(xhat * gamma.values + beta.values), bwd)
 
 
 def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
-    """Stack 2-D tensors of equal width along the row axis."""
+    """Join tensors along the row axis (-2); leading batch axes and the width
+    must agree."""
     if not parts:
         raise ValueError("concat_rows of empty list")
-    out = Tensor(np.concatenate([p.values for p in parts], axis=0))
+    ends = np.cumsum([p.values.shape[-2] for p in parts])[:-1]
 
-    if tape is not None:
-        sizes = [p.values.shape[0] for p in parts]
-        def bwd():
-            if out.grad is None:
-                return
-            offset = 0
-            for p, sz in zip(parts, sizes):
-                _accum(p, out.grad[offset:offset + sz])
-                offset += sz
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        for p, gp in zip(parts, np.split(g, ends, axis=-2)):
+            _accum(p, gp)
+    return _record(tape, Tensor(np.concatenate([p.values for p in parts], axis=-2)), bwd)
 
 
 def split_heads(x: Tensor, d_k: int, tape: Tape | None = None,
                 keys: bool = False) -> Tensor:
-    """Column blocks of width `d_k` of a [T, H*d_k] tensor as an [H, T, d_k]
-    stack, or with `keys` as [H, d_k, T], the right operand of Q Kᵀ."""
-    t, d = x.values.shape
-    axes = (1, 2, 0) if keys else (1, 0, 2)
-    out = Tensor(x.values.reshape(t, d // d_k, d_k).transpose(axes))
-
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(x, out.grad.transpose(np.argsort(axes)).reshape(t, d))
-        tape.record(bwd)
-    return out
+    """Column blocks of width `d_k` of a [..., T, H*d_k] tensor as an
+    [..., H, T, d_k] stack, or with `keys` as [..., H, d_k, T], the right
+    operand of Q Kᵀ."""
+    *lead, t, d = x.values.shape
+    n = len(lead)
+    axes = (*range(n), n + 1, n + 2, n) if keys else (*range(n), n + 1, n, n + 2)
+    out = Tensor(x.values.reshape(*lead, t, d // d_k, d_k).transpose(axes))
+    inverse = np.argsort(axes)
+    return _record(tape, out, lambda g: _accum(x, g.transpose(inverse).reshape(x.values.shape)))
 
 
 def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Inverse of `split_heads`: an [H, T, d_k] stack as [T, H*d_k] columns."""
-    h, t, d_k = x.values.shape
-    out = Tensor(x.values.transpose(1, 0, 2).reshape(t, h * d_k))
-
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(x, out.grad.reshape(t, h, d_k).transpose(1, 0, 2))
-        tape.record(bwd)
-    return out
+    """Inverse of `split_heads`: an [..., H, T, d_k] stack as [..., T, H*d_k]
+    columns."""
+    *lead, h, t, d_k = x.values.shape
+    out = Tensor(x.values.swapaxes(-2, -3).reshape(*lead, t, h * d_k))
+    return _record(tape, out, lambda g: _accum(x, g.reshape(*lead, t, h, d_k).swapaxes(-2, -3)))
 
 
 def embedding_lookup(table: Tensor, ids, tape: Tape | None = None) -> Tensor:
+    """Rows of `table` at integer `ids` of any shape: [...] ids give [..., d]."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= table.values.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.values.shape[0]})")
-    out = Tensor(table.values[ids])
 
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.values)
-            np.add.at(table.grad, ids, out.grad)
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.values)
+        np.add.at(table.grad, ids, g)
+    return _record(tape, Tensor(table.values[ids]), bwd)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -284,26 +233,12 @@ def dropout(x: Tensor, p: float, training: bool,
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
     keep = (rng.random(x.values.shape) >= p) / (1.0 - p)
-    out = Tensor(x.values * keep)
-
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(x, out.grad * keep)
-        tape.record(bwd)
-    return out
+    return _record(tape, Tensor(x.values * keep), lambda g: _accum(x, g * keep))
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(x.values.sum())
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            _accum(x, np.full_like(x.values, out.grad))
-        tape.record(bwd)
-    return out
+    return _record(tape, Tensor(x.values.sum()),
+                   lambda g: _accum(x, np.full_like(x.values, g)))
 
 
 def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
@@ -327,19 +262,14 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
     nll = lse - x[np.arange(t_count), safe_targets]
     total = float((nll * counted).sum())
     denom = n if reduction == "mean" else 1
-    out = Tensor(total / denom)
 
-    if tape is not None:
-        def bwd():
-            if out.grad is None:
-                return
-            probs = np.exp(x - m)
-            probs /= probs.sum(axis=1, keepdims=True)
-            probs[np.arange(t_count), safe_targets] -= 1.0
-            probs[~counted] = 0.0
-            _accum(logits, probs * (float(out.grad) / denom))
-        tape.record(bwd)
-    return out
+    def bwd(g):
+        probs = np.exp(x - m)
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[np.arange(t_count), safe_targets] -= 1.0
+        probs[~counted] = 0.0
+        _accum(logits, probs * (float(g) / denom))
+    return _record(tape, Tensor(total / denom), bwd)
 
 
 # ---------------------------------------------------------------------------

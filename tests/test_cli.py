@@ -127,7 +127,7 @@ class TestTrainGenerateEvaluate:
 
     def test_generate_deterministic(self, trained, capsys):
         args = ["generate", "--checkpoint", trained, "--review", "love this app",
-                "--rating", 5, "--category", "TOOLS", "--dropout", "0.0"]
+                "--rating", 5, "--category", "TOOLS"]
         assert run(args) == 0
         first = capsys.readouterr().out
         assert run(args) == 0
@@ -164,6 +164,8 @@ class TestTrainGenerateEvaluate:
                     '["love it", 5, "GAME"]', '"love it"', 'null',
                     '{"review": "love it", "rating": 5,',
                     '{"review": "love it", "rating": "five", "category": "GAME"}',
+                    '{"review": "love it", "rating": 4.7, "category": "GAME"}',
+                    '{"review": "love it", "rating": true, "category": "GAME"}',
                     '{"review": "love it", "rating": 9, "category": "GAME"}',
                     '{"review": "love it", "rating": 5, "category": "FOO"}']:
             batch.write_text(good + "\n\n" + bad + "\n" + good + "\n")
@@ -180,6 +182,26 @@ class TestTrainGenerateEvaluate:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "max_len" in err[0]
         assert captured.out == ""
+
+    def test_model_and_training_flags_rejected(self, trained, corpus_file, tmp_path,
+                                               capsys):
+        generate = ["generate", "--checkpoint", trained, "--review", "love it",
+                    "--rating", 5, "--category", "GAME"]
+        evaluate = ["evaluate", "--checkpoint", trained, "--test", corpus_file]
+        flags = ["--d-model", 512, "--lr", 9, "--max-tgt-len", 3]
+        for args in (generate, evaluate):
+            assert run(args + flags) == 1
+            captured = capsys.readouterr()
+            err = captured.err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"error: {args[0]} "), err
+            assert all(flag in err[0] for flag in ("--d-model", "--lr", "--max-tgt-len"))
+            assert captured.out == ""
+
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({"d_model": 512, "lr": 9, "max_tgt_len": 3, "dropout": 0.5}))
+        for args in (generate, evaluate):
+            assert run(args + ["--config", cfg]) == 0
+            assert capsys.readouterr().err == ""
 
     def test_evaluate_emits_report(self, trained, corpus_file, capsys):
         assert run(["evaluate", "--checkpoint", trained, "--test", corpus_file]) == 0

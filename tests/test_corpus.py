@@ -249,10 +249,11 @@ class TestLoadCorpus:
 
     def test_rating_out_of_range(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"app_name": "a", "category": "T", "rating": 7,
-                                    "review": "x", "response": "y"}) + "\n")
-        with pytest.raises(C.CorpusError, match="bad.jsonl:1"):
-            C.load_corpus(path)
+        for rating in (7, 4.7, True, 4.0, "4"):
+            path.write_text(json.dumps({"app_name": "a", "category": "T", "rating": rating,
+                                        "review": "x", "response": "y"}) + "\n")
+            with pytest.raises(C.CorpusError, match="bad.jsonl:1: rating"):
+                C.load_corpus(path)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -80,6 +80,21 @@ class TestBeam:
         bs = hypothesis_score(beam, enc, params, config)
         assert bs >= gs - 1e-9
 
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_one_decoder_call_per_step(self, width, monkeypatch):
+        params, config = random_model(width)
+        params.out_bias.values[EOS_ID] = -1e9  # nothing finishes, so every step runs
+        enc = enc_for(params, config)
+        calls = []
+
+        def counting(ids, *args):
+            calls.append(np.shape(ids))
+            return M.decoder_forward(ids, *args)
+        monkeypatch.setattr("trrgen.generation.decoder_forward", counting)
+        decode = DecodeConfig(strategy="beam", beam_width=width, max_len=6)
+        assert len(beam_decode(params, config, enc, decode)) == 6
+        assert calls == [(1, 1)] + [(width, t) for t in range(2, 7)]
+
     def test_empty_output_case_matches_greedy(self):
         params, config = random_model(3)
         params.out_proj.values[:] = 0.0

@@ -5,7 +5,7 @@ import pytest
 
 from trrgen import model as M
 from trrgen.corpus import EncodedRecord
-from trrgen.tensor import Tensor, Tape, grad_check, matmul, sum_all
+from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax, sum_all
 
 from attention_reference import per_head_attention, per_head_weights
 
@@ -97,6 +97,27 @@ class TestEmbedReview:
         x = M.embed_review(src, 4, 9, "trrgen_sum", tiny_params).values
         expected = e[src] + e[4] + e[9] + M.positional_encoding(2, 8)
         np.testing.assert_allclose(x, expected)
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_leading_axes_match_single_reviews_with_gradients(self, tiny_config, variant,
+                                                              lead):
+        params = M.init_parameters(tiny_config, seed=2)
+        rng = np.random.default_rng(len(lead))
+        src = rng.integers(10, 20, size=(*lead, 4))
+        ratings = rng.integers(4, 9, size=lead)
+        x = M.embed_review(src, ratings, 9, variant, params).values
+        for i in np.ndindex(*lead):
+            single = M.embed_review(list(src[i]), int(ratings[i]), 9, variant, params)
+            np.testing.assert_array_equal(x[i], single.values)
+
+        r = Tensor(rng.normal(size=(8, 1)))
+
+        def build():
+            tape = Tape()
+            y = M.embed_review(src, ratings, 9, variant, params, tape)
+            return sum_all(matmul(softmax(y, tape), r, tape), tape), tape
+        assert grad_check(build, [params.embedding]) <= 1e-6
 
 
 class TestAttention:
@@ -330,6 +351,18 @@ class TestDecoder:
             perturbed[j] = (perturbed[j] + 1 - 4) % 16 + 4
             got = M.decoder_forward(perturbed, enc, tiny_params, tiny_config).values
             assert np.array_equal(base[:j], got[:j])
+
+    @pytest.mark.parametrize("variant", ["trrgen_concat", "trrgen_order"])
+    @pytest.mark.parametrize("width", range(1, 6))
+    def test_prefix_batch_equals_single_prefixes(self, tiny_config, tiny_params, variant,
+                                                 width):
+        enc = encode_for(variant, 4, tiny_params, tiny_config, src=(10, 11, 12, 13))
+        prefixes = np.random.default_rng(width).integers(2, 20, size=(width, 6))
+        batch = M.decoder_forward(prefixes, enc, tiny_params, tiny_config).values
+        assert batch.shape == (width, 6, 20)
+        for prefix, logits in zip(prefixes, batch):
+            single = M.decoder_forward(list(prefix), enc, tiny_params, tiny_config).values
+            assert np.max(np.abs(logits - single)) <= 1e-12
 
     def test_too_long_target_rejected(self, tiny_config, tiny_params):
         enc = encode_for("vanilla", 4, tiny_params, tiny_config)

@@ -1,0 +1,23 @@
+"""The benchmark's per-layer profile still finds the functions it wraps.
+
+`benchmarks/tracer.py` skips a hook whose target is missing or whose
+parameters changed, and drops every metric that needs it from a traced run,
+so a signature change would silently lose a whole metric family. The tracer
+is executed from its source text, so nothing is written under `benchmarks/`.
+"""
+
+import types
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def test_only_the_deleted_greedy_decode_hook_is_skipped():
+    module = types.ModuleType("tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.skipped == ["trrgen.generation.greedy_decode"]
+    finally:
+        tracer.uninstall()

@@ -4,7 +4,7 @@ import pytest
 from trrgen.tensor import (Tensor, Tape, matmul, add, scale, relu, softmax,
                            layer_norm, concat_rows, split_heads, merge_heads,
                            embedding_lookup,
-                           dropout, cross_entropy_logits, sum_all, backward,
+                           dropout, cross_entropy_logits, sum_all,
                            grad_check)
 from trrgen.optim import AdamState, adam_step, zero_grads
 
@@ -48,6 +48,35 @@ class TestHeads:
     def test_split_width_error(self):
         with pytest.raises(ValueError):
             split_heads(rand((2, 5)), 2)
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_leading_axes_act_per_matrix(self, lead):
+        x = rand((*lead, 5, 6), 4)
+        q, k_t = split_heads(x, 2).values, split_heads(x, 2, keys=True).values
+        rows = concat_rows([x, rand((*lead, 2, 6), 5)]).values
+        for i in np.ndindex(*lead):
+            np.testing.assert_array_equal(q[i], split_heads(Tensor(x.values[i]), 2).values)
+            np.testing.assert_array_equal(k_t[i], split_heads(Tensor(x.values[i]), 2,
+                                                              keys=True).values)
+            np.testing.assert_array_equal(rows[i][:5], x.values[i])
+        np.testing.assert_array_equal(merge_heads(Tensor(q)).values, x.values)
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_gradients_with_leading_axes(self, lead):
+        x, y = rand((*lead, 5, 6), 6), rand((*lead, 2, 6), 7)
+        r = Tensor(np.random.default_rng(8).normal(size=(*lead, 3, 7, 2)))
+        r_t = Tensor(np.random.default_rng(9).normal(size=(*lead, 3, 2, 7)))
+        w = Tensor(np.random.default_rng(10).normal(size=(6, 1)))
+
+        def build():
+            tape = Tape()
+            rows = concat_rows([x, y], tape)
+            heads = add(split_heads(rows, 2, tape), r, tape)
+            keys = add(split_heads(rows, 2, tape, keys=True), r_t, tape)
+            merged = merge_heads(matmul(softmax(matmul(heads, keys, tape), tape), heads, tape),
+                                 tape)
+            return sum_all(matmul(merged, w, tape), tape), tape
+        assert grad_check(build, [x, y, r, r_t]) <= 1e-6
 
 
 class TestSoftmax:
@@ -164,7 +193,7 @@ class TestEmbedding:
         tape = Tape()
         out = embedding_lookup(table, [1, 1], tape)
         loss = sum_all(out, tape)
-        backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_allclose(table.grad[1], [2.0, 2.0])
         np.testing.assert_allclose(table.grad[0], 0.0)
 
@@ -209,7 +238,7 @@ class TestBackward:
         x = rand((3, 4), 2)
         tape = Tape()
         loss = sum_all(x, tape)
-        backward(tape, loss)
+        tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
     def test_non_scalar_loss_rejected(self):
@@ -217,7 +246,7 @@ class TestBackward:
         tape = Tape()
         y = relu(x, tape)
         with pytest.raises(ValueError):
-            backward(tape, y)
+            tape.backward(y)
 
     def test_deterministic(self):
         def run():
@@ -225,7 +254,7 @@ class TestBackward:
             w = Tensor(np.linspace(0, 1, 8).reshape(4, 2))
             tape = Tape()
             loss = sum_all(softmax(matmul(x, w, tape), tape), tape)
-            backward(tape, loss)
+            tape.backward(loss)
             return x.grad.copy(), w.grad.copy()
         gx1, gw1 = run()
         gx2, gw2 = run()
