@@ -18,115 +18,100 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import corpus as C
-from .checkpoint import save_checkpoint, load_checkpoint, CheckpointError
+from .checkpoint import save_checkpoint, load_checkpoint
 from .evaluation import (corpus_bleu, evaluate_model, random_selection_baseline,
-                         format_report_table, EvaluationError)
+                         format_report_table)
 from .generation import DecodeConfig, generate, postprocess
-from .model import ModelConfig, ConfigError, FUSION_VARIANTS
+from .model import ModelConfig, FUSION_VARIANTS
 from .training import TrainOptions, train_model
 
 
 @dataclass
-class RunConfig:
-    """Every knob of the pipeline, flat and fully serializable."""
+class PipelineConfig:
+    """The CLI's own settings: the vocabulary cut-off and the corpus split."""
 
-    # model
-    d_model: int = 256
-    n_heads: int = 4
-    n_layers: int = 1
-    d_ff: int = 1024
-    max_tgt_len: int = 120
-    fusion_variant: str = "trrgen_concat"
-    dropout: float = 0.1
-    # preprocessing
-    lowercase: bool = True
-    ad_ngram_n: int = 5
-    ad_flag_threshold: float = 0.005
-    max_review_tokens: int = 100
-    max_response_tokens: int = 120
     min_freq: int = 2
-    # optimizer / schedule
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    batch_size: int = 32
-    epochs: int = 30
-    patience: int = 5
-    validate_every: int = 1
-    # decoding
-    strategy: str = "greedy"
-    beam_width: int = 4
-    decode_max_len: int | None = None
-    length_penalty: float = 0.0
-    # splitting / reproducibility
     train_ratio: float = 0.8
     valid_ratio: float = 0.1
     test_ratio: float = 0.1
     seed: int = 0
 
-    def preprocess_config(self) -> C.PreprocessConfig:
-        return C.PreprocessConfig(lowercase=self.lowercase, ad_ngram_n=self.ad_ngram_n,
-                                  ad_flag_threshold=self.ad_flag_threshold,
-                                  max_review_tokens=self.max_review_tokens,
-                                  max_response_tokens=self.max_response_tokens)
 
-    def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(vocab_size=vocab_size, d_model=self.d_model,
-                           n_heads=self.n_heads, n_layers=self.n_layers,
-                           d_ff=self.d_ff, max_tgt_len=self.max_tgt_len,
-                           fusion_variant=self.fusion_variant,
-                           dropout=self.dropout, seed=self.seed)
+def _key(cls, name: str) -> str:
+    return "decode_max_len" if (cls, name) == (DecodeConfig, "max_len") else name
 
-    def train_options(self) -> TrainOptions:
-        return TrainOptions(lr=self.lr, beta1=self.beta1, beta2=self.beta2,
-                            adam_eps=self.adam_eps, batch_size=self.batch_size,
-                            epochs=self.epochs, patience=self.patience,
-                            validate_every=self.validate_every, seed=self.seed)
 
-    def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(strategy=self.strategy, beam_width=self.beam_width,
-                            max_len=self.decode_max_len,
-                            length_penalty=self.length_penalty)
+def _flag(key: str) -> str:
+    return f"--{key.replace('_', '-')}"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+
+# Every setting, keyed as in config files and flags, with the dataclass field
+# that gives its type and default. vocab_size comes from the vocabulary, and
+# placeholder_rules and stop_loss are set only through the library.
+SETTINGS = {_key(cls, f.name): f
+            for cls in (ModelConfig, C.PreprocessConfig, TrainOptions, DecodeConfig,
+                        PipelineConfig)
+            for f in dataclasses.fields(cls)
+            if f.name not in ("vocab_size", "placeholder_rules", "stop_loss")}
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+# Per field type: the flag parser, the JSON types a config file may give, and
+# the wording of a type error.
+TYPES = {"int": (int, (int,), "an integer"),
+         "float": (float, (int, float), "a number"),
+         "str": (str, (str,), "a string"),
+         "bool": (lambda s: _BOOLS[s.lower()], (bool,), "true or false"),
+         "int | None": (int, (int, type(None)), "an integer (or null in a config file)")}
 
 
 class CliError(ValueError):
     pass
 
 
-def load_run_config(path: str | None, overrides: dict) -> RunConfig:
-    values = {}
+def _parse(name: str, key: str, text: str):
+    parser, _, wanted = TYPES[SETTINGS[key].type]
+    try:
+        return parser(text)
+    except (ValueError, KeyError):
+        raise CliError(f"{name} must be {wanted}, got {text!r}") from None
+
+
+def load_settings(path: str | None, flags: dict) -> dict:
+    """Every setting: its default, then the `path` config file, then `flags`
+    (key -> command-line text), then TRRGEN_SEED; each value type-checked."""
+    values = {key: f.default for key, f in SETTINGS.items()}
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise CliError(f"{path}: config must be a flat JSON object")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(data) - known
+        unknown = set(data) - set(SETTINGS)
         if unknown:
             raise CliError(f"{path}: unknown config keys {sorted(unknown)}")
-        values.update(data)
-    values.update({k: v for k, v in overrides.items() if v is not None})
+        for key, value in data.items():
+            kind = SETTINGS[key].type
+            if type(value) not in TYPES[kind][1]:  # `type`, so true is not an integer
+                raise CliError(f"{path}: {key} must be {TYPES[kind][2]}, got {value!r}")
+            try:  # an int for a float key is stored as a float, as a flag's would be
+                values[key] = float(value) if kind == "float" else value
+            except OverflowError:
+                raise CliError(f"{path}: {key} is out of range, got {value!r}") from None
+    values.update({key: _parse(_flag(key), key, text) for key, text in flags.items()})
     if "TRRGEN_SEED" in os.environ:
-        values["seed"] = int(os.environ["TRRGEN_SEED"])
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise CliError(f"bad configuration: {exc}") from None
+        values["seed"] = _parse("TRRGEN_SEED", "seed", os.environ["TRRGEN_SEED"])
+    return values
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat JSON config file")
-    parse_bool = lambda s: s.lower() in ("1", "true", "yes")
-    for f in dataclasses.fields(RunConfig):
-        caster = {"int": int, "float": float, "str": str,
-                  "bool": parse_bool, "int | None": int}.get(str(f.type), str)
-        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
-                            type=caster, default=None, help=argparse.SUPPRESS)
+def build(cls, cfg: dict, **extra):
+    """An instance of dataclass `cls` from its settings in `cfg`; `extra`
+    gives or overrides fields by name."""
+    values = {f.name: cfg[_key(cls, f.name)] for f in dataclasses.fields(cls)
+              if _key(cls, f.name) in SETTINGS}
+    return cls(**{**values, **extra})
 
 
 # Settings that `generate` and `evaluate` read from the checkpoint or never
@@ -135,22 +120,15 @@ MODEL_AND_TRAINING_KEYS = ({f.name for f in dataclasses.fields(ModelConfig)}
                            | {f.name for f in dataclasses.fields(TrainOptions)})
 
 
-def _config_from_args(args, reject=frozenset()) -> RunConfig:
-    """The run configuration; a flag naming a key in `reject` is an error,
+def _config_from_args(args, reject=frozenset()) -> dict:
+    """The run's settings; a flag naming a key in `reject` is an error,
     while the same key in the `--config` file is allowed."""
-    overrides = {f.name: getattr(args, f.name, None)
-                 for f in dataclasses.fields(RunConfig)}
-    given = [f"--{k.replace('_', '-')}" for k, v in overrides.items()
-             if v is not None and k in reject]
+    flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
+    given = [_flag(key) for key in flags if key in reject]
     if given:
         raise CliError(f"{args.command} takes model and training settings from the "
                        f"checkpoint; it does not accept {', '.join(given)}")
-    return load_run_config(args.config, overrides)
-
-
-def _load_and_normalize(path, fmt, cfg: RunConfig):
-    records = C.load_corpus(path, fmt)
-    return C.normalize_corpus(records, cfg.preprocess_config())
+    return load_settings(args.config, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -158,21 +136,19 @@ def _load_and_normalize(path, fmt, cfg: RunConfig):
 
 
 def cmd_preprocess(args) -> int:
-    cfg = _config_from_args(args)
-    records = _load_and_normalize(args.input, args.format, cfg)
+    pre_cfg = build(C.PreprocessConfig, _config_from_args(args))
+    records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
     if args.blocklist:
-        records = C.filter_ads(records, C.load_blocklist(args.blocklist),
-                               cfg.preprocess_config())
+        records = C.filter_ads(records, C.load_blocklist(args.blocklist), pre_cfg)
     C.save_corpus(records, args.output)
     print(f"wrote {len(records)} records to {args.output}")
     return 0
 
 
 def cmd_report_ads(args) -> int:
-    cfg = _config_from_args(args)
-    records = _load_and_normalize(args.input, args.format, cfg)
-    report = C.ad_report(records, cfg.preprocess_config())
-    text = report.to_tsv()
+    pre_cfg = build(C.PreprocessConfig, _config_from_args(args))
+    records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
+    text = C.ad_report(records, pre_cfg).to_tsv()
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -184,41 +160,36 @@ def cmd_report_ads(args) -> int:
 def cmd_build_vocab(args) -> int:
     cfg = _config_from_args(args)
     records = C.load_corpus(args.input, args.format)
-    vocab = C.build_vocabulary(records, min_freq=cfg.min_freq)
+    vocab = C.build_vocabulary(records, min_freq=cfg["min_freq"])
     vocab.save(args.output)
     print(f"wrote vocabulary of {len(vocab)} tokens to {args.output}")
     return 0
 
 
 def _encode_all(records, vocab, pre_cfg):
-    encoded = [C.encode_record(r, vocab, pre_cfg) for r in records]
-    responses = [r.response_text for r in records]
-    return encoded, responses
+    return [C.encode_record(r, vocab, pre_cfg) for r in records]
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
+    pre_cfg, opts = build(C.PreprocessConfig, cfg), build(TrainOptions, cfg)
     vocab = C.Vocabulary.load(args.vocab)
-    pre_cfg = cfg.preprocess_config()
-    train_recs, _ = _encode_all(C.load_corpus(args.train), vocab, pre_cfg)
+    train_recs = _encode_all(C.load_corpus(args.train), vocab, pre_cfg)
     valid_recs = []
     if args.valid:
-        valid_recs, _ = _encode_all(C.load_corpus(args.valid), vocab, pre_cfg)
-    model_cfg = cfg.model_config(len(vocab))
+        valid_recs = _encode_all(C.load_corpus(args.valid), vocab, pre_cfg)
+    model_cfg = build(ModelConfig, cfg, vocab_size=len(vocab))
 
-    log_fh = open(args.log, "w", encoding="utf-8") if args.log else None
-
-    def log_fn(entry):
-        line = json.dumps(entry, sort_keys=True)
-        print(line)
-        if log_fh:
+    with open(args.log or os.devnull, "w", encoding="utf-8") as log_fh:
+        def log_fn(entry):
+            line = json.dumps(entry, sort_keys=True)
+            print(line)
             log_fh.write(line + "\n")
 
-    result = train_model(train_recs, valid_recs, model_cfg, cfg.train_options(), log_fn)
-    if log_fh:
-        log_fh.close()
-    save_checkpoint(args.output, result.params, model_cfg, vocab,
-                    run_config=cfg.to_dict(),
+        # a diverging run is reported by forward_training's finite-loss check
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train_model(train_recs, valid_recs, model_cfg, opts, log_fn)
+    save_checkpoint(args.output, result.params, model_cfg, vocab, run_config=cfg,
                     metadata={"best_epoch": result.best_epoch,
                               "best_valid_loss": result.best_valid_loss})
     print(f"saved checkpoint to {args.output}")
@@ -227,9 +198,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
+    decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
-    decode = cfg.decode_config()
-    pre_cfg = cfg.preprocess_config()
 
     def encode(review, rating, category, where):
         rec = C.ReviewRecord("", category, rating, C.normalize_text(review, pre_cfg), "")
@@ -271,14 +241,14 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
+    decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
-    pre_cfg = cfg.preprocess_config()
     records = C.load_corpus(args.test)
     if not records:
         raise CliError(f"{args.test}: empty test corpus")
-    encoded, responses = _encode_all(records, vocab, pre_cfg)
-    report = evaluate_model(params, config, vocab, encoded, responses,
-                            cfg.decode_config(), label=config.fusion_variant)
+    report = evaluate_model(params, config, vocab, _encode_all(records, vocab, pre_cfg),
+                            [r.response_text for r in records], decode,
+                            label=config.fusion_variant)
     print(report.to_json())
     return 0
 
@@ -289,28 +259,28 @@ def cmd_ablate(args) -> int:
     for v in variants:
         if v not in FUSION_VARIANTS:
             raise CliError(f"unknown fusion variant {v!r}")
-    pre_cfg = cfg.preprocess_config()
+    pre_cfg, opts, decode = (build(C.PreprocessConfig, cfg), build(TrainOptions, cfg),
+                             build(DecodeConfig, cfg))
     records = C.normalize_corpus(C.load_corpus(args.data), pre_cfg)
-    train, valid, test = C.split_corpus(records, cfg.seed,
-                                        (cfg.train_ratio, cfg.valid_ratio, cfg.test_ratio))
-    vocab = C.build_vocabulary(train, min_freq=cfg.min_freq)
-    train_e, _ = _encode_all(train, vocab, pre_cfg)
-    valid_e, _ = _encode_all(valid, vocab, pre_cfg)
-    test_e, test_resp = _encode_all(test, vocab, pre_cfg)
+    train, valid, test = C.split_corpus(records, cfg["seed"], (cfg["train_ratio"],
+                                        cfg["valid_ratio"], cfg["test_ratio"]))
+    vocab = C.build_vocabulary(train, min_freq=cfg["min_freq"])
+    train_e, valid_e, test_e = (_encode_all(s, vocab, pre_cfg) for s in (train, valid, test))
+    test_resp = [r.response_text for r in test]
 
     reports = []
     for variant in variants:
-        model_cfg = cfg.model_config(len(vocab))
-        model_cfg = dataclasses.replace(model_cfg, fusion_variant=variant)
-        result = train_model(train_e, valid_e, model_cfg, cfg.train_options())
+        model_cfg = build(ModelConfig, cfg, vocab_size=len(vocab), fusion_variant=variant)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train_model(train_e, valid_e, model_cfg, opts)
         report = evaluate_model(result.params, model_cfg, vocab, test_e, test_resp,
-                                cfg.decode_config(), label=variant)
+                                decode, label=variant)
         reports.append(report)
         print(report.to_json())
 
     if args.baseline:
         baseline = random_selection_baseline([r.response_text for r in train],
-                                             len(test), cfg.seed)
+                                             len(test), cfg["seed"])
         report = corpus_bleu([C.tokenize(c) for c in baseline],
                              [C.tokenize(r) for r in test_resp],
                              label="random_selection")
@@ -334,21 +304,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
     p.add_argument("--blocklist", help="ad-expression blocklist file")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("report-ads", help="rank candidate ad expressions by frequency")
     p.add_argument("--input", required=True)
     p.add_argument("--output")
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_report_ads)
 
     p = sub.add_parser("build-vocab", help="build a vocabulary from a preprocessed corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model")
@@ -357,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--log", help="JSON-Lines training log file")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("generate", help="generate a response for a review")
@@ -366,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rating", type=int)
     p.add_argument("--category")
     p.add_argument("--batch", help="JSON-Lines input; writes JSON-Lines output")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("evaluate", help="BLEU-evaluate a checkpoint on a test corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--test", required=True)
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="train and evaluate several fusion variants")
@@ -380,17 +344,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", help="comma-separated variant list (default: all)")
     p.add_argument("--baseline", action="store_true",
                    help="include the random-selection baseline row")
-    _add_config_flags(p)
     p.set_defaults(fn=cmd_ablate)
+    for p in sub.choices.values():  # settings flags are parsed by `load_settings`
+        p.add_argument("--config", help="flat JSON config file")
+        for key in SETTINGS:
+            p.add_argument(_flag(key), dest=key, default=None, help=argparse.SUPPRESS)
     return parser
+
+
+# trrgen's own errors are ValueErrors; FloatingPointError is a diverged training run
+REPORTED_ERRORS = (ValueError, OSError, FloatingPointError)
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, C.CorpusError, ConfigError, CheckpointError, EvaluationError,
-            ValueError, OSError) as exc:
+    except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,6 +19,9 @@ PAD_ID, UNK_ID, SOS_ID, EOS_ID = 0, 1, 2, 3
 
 RATING_TOKENS = {r: f"⟨{r}⟩" for r in range(1, 6)}
 PLACEHOLDER_TOKENS = ["⟨email⟩", "⟨url⟩", "⟨app_name⟩", "⟨user_name⟩"]
+# Tokens that only `encode_record` places; spelled in review or response text
+# they are read as ⟨unk⟩, like any ⟨cat:…⟩ token (see `is_control`).
+CONTROL_TOKENS = {PAD, SOS, EOS, *RATING_TOKENS.values()}
 
 # Default PII patterns. App names cannot be detected generically, so the
 # ⟨app_name⟩ token is reserved but has no default pattern; supply one via
@@ -70,13 +73,14 @@ class PreprocessConfig:
             raise CorpusError("ad_ngram_n must be >= 1")
         if not 0.0 < self.ad_flag_threshold <= 1.0:
             raise CorpusError("ad_flag_threshold must be in (0, 1]")
+        if self.max_review_tokens < 1 or self.max_response_tokens < 2:
+            raise CorpusError("max_review_tokens must be >= 1 and max_response_tokens >= 2")
 
 
 @dataclass
 class NgramEntry:
     expression: tuple[str, ...]
     count: int
-    example_id: int
     flagged: bool
 
 
@@ -85,7 +89,9 @@ class NgramReport:
     entries: list[NgramEntry]
 
     def to_tsv(self) -> str:
-        return "".join(f"{e.count}\t{' '.join(e.expression)}\n" for e in self.entries)
+        """One `count<TAB>expression<TAB>flagged` line per entry; flagged is 1 or 0."""
+        return "".join(f"{e.count}\t{' '.join(e.expression)}\t{int(e.flagged)}\n"
+                       for e in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +176,10 @@ def category_token(category: str) -> str:
     return f"⟨cat:{category}⟩"
 
 
+def is_control(token: str) -> bool:
+    return token in CONTROL_TOKENS or token.startswith("⟨cat:")
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace split with punctuation isolated; ⟨…⟩ placeholders stay atomic."""
     return _TOKEN_RE.findall(text)
@@ -218,9 +228,8 @@ def ad_report(records: list[ReviewRecord], config: PreprocessConfig) -> NgramRep
     human review; removal itself is driven by a curated blocklist.
     """
     counts: Counter = Counter()
-    first_seen: dict[tuple[str, ...], int] = {}
     n_responses = 0
-    for rid, rec in enumerate(records):
+    for rec in records:
         if not rec.response_text.strip():
             continue
         n_responses += 1
@@ -229,11 +238,8 @@ def ad_report(records: list[ReviewRecord], config: PreprocessConfig) -> NgramRep
             if expr is None:
                 continue
             counts[expr] += 1
-            first_seen.setdefault(expr, rid)
     cutoff = config.ad_flag_threshold * n_responses
-    entries = [NgramEntry(expr, c, first_seen[expr], c >= cutoff)
-               for expr, c in counts.most_common()]
-    return NgramReport(entries)
+    return NgramReport([NgramEntry(expr, c, c >= cutoff) for expr, c in counts.most_common()])
 
 
 def filter_ads(records: list[ReviewRecord], blocklist: set[tuple[str, ...]],
@@ -312,8 +318,9 @@ def build_vocabulary(records: list[ReviewRecord], min_freq: int = 2) -> Vocabula
 
     Specials, rating tokens, placeholders and one ⟨cat:NAME⟩ per observed
     category are always included; other tokens need corpus frequency >=
-    min_freq. Corpus tokens are ordered by frequency (ties alphabetically)
-    so construction is deterministic.
+    min_freq, and control tokens spelled in text are never added. Corpus
+    tokens are ordered by frequency (ties alphabetically) so construction is
+    deterministic.
     """
     freq: Counter = Counter()
     categories = set()
@@ -327,7 +334,8 @@ def build_vocabulary(records: list[ReviewRecord], min_freq: int = 2) -> Vocabula
     tokens += PLACEHOLDER_TOKENS
     tokens += [category_token(c) for c in sorted(categories)]
     reserved = set(tokens)
-    body = sorted((t for t, c in freq.items() if c >= min_freq and t not in reserved),
+    body = sorted((t for t, c in freq.items()
+                   if c >= min_freq and t not in reserved and not is_control(t)),
                   key=lambda t: (-freq[t], t))
     return Vocabulary(tokens + body)
 
@@ -340,13 +348,20 @@ class EncodedRecord:
     category_id: int
 
 
+def _text_ids(text: str, vocab: Vocabulary, limit: int) -> list[int]:
+    """Ids of the first `limit` tokens of `text`, control tokens read as ⟨unk⟩."""
+    get = vocab.token_to_id.get  # Vocabulary.encode_token, without a call per token
+    return [UNK_ID if t[0] == "⟨" and is_control(t) else get(t, UNK_ID)
+            for t in tokenize(text)[:limit]]
+
+
 def encode_record(record: ReviewRecord, vocab: Vocabulary,
                   config: PreprocessConfig) -> EncodedRecord:
     cat_tok = category_token(record.category)
     if cat_tok not in vocab.token_to_id:
         raise CorpusError(f"unknown category {record.category!r}")
-    src = vocab.encode(tokenize(record.review_text)[:config.max_review_tokens])
-    resp = vocab.encode(tokenize(record.response_text)[:config.max_response_tokens - 2])
+    src = _text_ids(record.review_text, vocab, config.max_review_tokens)
+    resp = _text_ids(record.response_text, vocab, config.max_response_tokens - 2)
     return EncodedRecord(src_ids=src,
                          tgt_ids=[SOS_ID] + resp + [EOS_ID],
                          rating_id=vocab.token_to_id[rating_token(record.rating)],

@@ -41,10 +41,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model % 2 != 0:
-            raise ConfigError("d_model must be even for sinusoidal positions")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError("d_model must be divisible by n_heads")
+        if self.d_model < 2 or self.d_model % 2 != 0:
+            raise ConfigError("d_model must be even and >= 2 for sinusoidal positions")
+        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
+            raise ConfigError("n_heads must be >= 1 and divide d_model")
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
         if self.max_tgt_len < 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import random
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,18 @@ class TrainOptions:
     validate_every: int = 1
     seed: int = 0
     stop_loss: float = 0.0   # stop early once training loss falls below
+
+    def __post_init__(self):
+        rules = [("batch_size", self.batch_size >= 1, ">= 1"),
+                 ("validate_every", self.validate_every >= 1, ">= 1"),
+                 ("patience", self.patience >= 0, ">= 0"),
+                 ("lr", 0 < self.lr <= sys.float_info.max, "finite and > 0"),
+                 ("adam_eps", 0 < self.adam_eps <= sys.float_info.max, "finite and > 0"),
+                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")]
+        for name, ok, rule in rules:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -1,8 +1,18 @@
+import dataclasses
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trrgen import cli
+from trrgen.checkpoint import load_checkpoint
 from trrgen.cli import main
+from trrgen.corpus import PreprocessConfig
+from trrgen.generation import DecodeConfig
+from trrgen.model import ModelConfig
+from trrgen.training import TrainOptions
 
 from conftest import make_records
 
@@ -74,6 +84,19 @@ class TestReportAds:
         assert run(["report-ads", "--input", src]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("10\t")
+
+    def test_flag_column(self, tmp_path, capsys):
+        src = tmp_path / "in.jsonl"
+        rows = [{"app_name": "a", "category": "T", "rating": 3, "review": "r",
+                 "response": ("shine is a free phone cleaner today" if i < 3
+                              else f"reply number {i} here and there")} for i in range(100)]
+        src.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        # cut-off 0.02 * 100 responses = 2: the planted 5-gram (3) is flagged,
+        # every one-off 5-gram is not
+        assert run(["report-ads", "--input", src, "--ad-flag-threshold", "0.02"]) == 0
+        lines = [l.split("\t") for l in capsys.readouterr().out.splitlines()]
+        assert lines[0] == ["3", "is a free phone cleaner", "1"]
+        assert len(lines) == 98 and all(l[0] == "1" and l[2] == "0" for l in lines[1:])
 
 
 class TestBuildVocab:
@@ -263,3 +286,136 @@ class TestConfigHandling:
         from trrgen.checkpoint import load_checkpoint
         _, _, _, run_cfg, _ = load_checkpoint(ckpt)
         assert run_cfg["seed"] == 123
+
+
+# (default, type) of every setting, as the CLI has always had them.
+SETTINGS_AT_ORIGIN = {
+    "d_model": (256, "int"), "n_heads": (4, "int"), "n_layers": (1, "int"),
+    "d_ff": (1024, "int"), "max_tgt_len": (120, "int"),
+    "fusion_variant": ("trrgen_concat", "str"), "dropout": (0.1, "float"),
+    "lowercase": (True, "bool"), "ad_ngram_n": (5, "int"),
+    "ad_flag_threshold": (0.005, "float"), "max_review_tokens": (100, "int"),
+    "max_response_tokens": (120, "int"), "min_freq": (2, "int"), "lr": (1e-4, "float"),
+    "beta1": (0.9, "float"), "beta2": (0.999, "float"), "adam_eps": (1e-8, "float"),
+    "batch_size": (32, "int"), "epochs": (30, "int"), "patience": (5, "int"),
+    "validate_every": (1, "int"), "strategy": ("greedy", "str"), "beam_width": (4, "int"),
+    "decode_max_len": (None, "int | None"), "length_penalty": (0.0, "float"),
+    "train_ratio": (0.8, "float"), "valid_ratio": (0.1, "float"),
+    "test_ratio": (0.1, "float"), "seed": (0, "int"),
+}
+DEFAULTS = {key: default for key, (default, _) in SETTINGS_AT_ORIGIN.items()}
+COMPONENTS = (ModelConfig, PreprocessConfig, TrainOptions, DecodeConfig, cli.PipelineConfig)
+
+
+class TestSettingsTable:
+    def test_keys_defaults_and_types(self):
+        assert len(SETTINGS_AT_ORIGIN) == 29
+        assert {key: (f.default, f.type) for key, f in cli.SETTINGS.items()} == SETTINGS_AT_ORIGIN
+
+    def test_shared_key_has_one_type_and_default(self):
+        owners = {}
+        for cls in COMPONENTS:
+            for f in dataclasses.fields(cls):
+                owners.setdefault(cli._key(cls, f.name), []).append((f.default, f.type))
+        shared = {key: v for key, v in owners.items() if key in cli.SETTINGS and len(v) > 1}
+        assert shared == {"seed": [(0, "int")] * 3}
+
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv("TRRGEN_SEED", raising=False)
+        assert cli.load_settings(None, {}) == DEFAULTS
+
+    def test_checkpoint_stores_every_setting(self, tmp_path, corpus_file, monkeypatch, capsys):
+        monkeypatch.delenv("TRRGEN_SEED", raising=False)
+        ckpt, _ = train_tiny(tmp_path, corpus_file)
+        capsys.readouterr()
+        assert load_checkpoint(ckpt)[3] == {
+            **DEFAULTS, "d_model": 16, "d_ff": 32, "n_heads": 2, "epochs": 2,
+            "batch_size": 4, "lr": 0.002, "dropout": 0.0}
+
+    def test_build(self):
+        cfg = cli.load_settings(None, {"decode_max_len": "7", "d_model": "32"})
+        assert cli.build(DecodeConfig, cfg).max_len == 7
+        model = cli.build(ModelConfig, cfg, vocab_size=50, fusion_variant="vanilla")
+        assert (model.vocab_size, model.d_model, model.fusion_variant) == (50, 32, "vanilla")
+        assert cli.build(TrainOptions, cfg).stop_loss == TrainOptions().stop_loss
+
+    @pytest.mark.parametrize("text,value", [("1", True), ("0", False), ("true", True),
+                                            ("FALSE", False), ("yes", True), ("No", False)])
+    def test_bool_flag_spellings(self, text, value):
+        assert cli.load_settings(None, {"lowercase": text})["lowercase"] is value
+
+
+class TestBadSettings:
+    @pytest.fixture
+    def train_args(self, tmp_path, corpus_file, capsys):
+        vocab = tmp_path / "vocab.json"
+        assert run(["build-vocab", "--input", corpus_file, "--output", vocab,
+                    "--min-freq", 1]) == 0
+        capsys.readouterr()
+        return ["train", "--train", corpus_file, "--vocab", vocab,
+                "--output", tmp_path / "model.ckpt", "--d-model", 16, "--d-ff", 32,
+                "--n-heads", 2, "--epochs", 1, "--batch-size", 4, "--dropout", "0.0"]
+
+    def fails_with_one_line(self, args, capsys, tmp_path, names):
+        assert run(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert names in err[0], err
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("d_model", '"16"'), ("epochs", '"2"'), ("lr", '"0.01"'), ("dropout", "null"),
+        ("d_model", "16.0"), ("d_model", "true"), ("lowercase", '"no"'),
+        ("lr", "1e999"), ("lr", "1" + "0" * 400)])
+    def test_bad_config_value(self, train_args, tmp_path, capsys, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"{key}": {value}}}')
+        self.fails_with_one_line(train_args + ["--config", path], capsys, tmp_path, key)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr gets only the error line
+    @pytest.mark.parametrize("flags,names", [
+        (["--lowercase", "nope"], "lowercase"), (["--batch-size", -1], "batch_size"),
+        (["--batch-size", 0], "batch_size"), (["--validate-every", 0], "validate_every"),
+        (["--d-model", "abc"], "d-model"), (["--lr", "1e300"], "non-finite")])
+    def test_bad_flag(self, train_args, tmp_path, capsys, flags, names):
+        self.fails_with_one_line(train_args + flags, capsys, tmp_path, names)
+
+    @pytest.mark.parametrize("config,key,value", [('{"decode_max_len": null}', "decode_max_len", None),
+                                                  ('{"lr": 1}', "lr", 1.0)])
+    def test_accepted_config_value(self, train_args, tmp_path, capsys, config, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        assert run(train_args + ["--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        stored = load_checkpoint(tmp_path / "model.ckpt")[3][key]
+        assert stored == value and type(stored) is type(value)
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.just(float("nan")), st.text(max_size=6))
+# Values of the key's own type are drawn often, so that a run gets past the
+# type check and reaches each dataclass's own checks.
+TYPED_VALUES = {"int": st.integers(-2, 4), "float": st.floats() | st.integers(-2, 4),
+                "str": st.sampled_from(["greedy", "beam", "vanilla", "trrgen_concat"]),
+                "bool": st.booleans(), "int | None": st.none() | st.integers(-2, 4)}
+SETTING_ITEMS = st.sampled_from(sorted(SETTINGS_AT_ORIGIN)).flatmap(lambda key: st.tuples(
+    st.just(key), TYPED_VALUES[SETTINGS_AT_ORIGIN[key][1]] | JSON_VALUES))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SETTING_ITEMS, max_size=6).map(dict))
+def test_any_config_file_builds_or_is_one_error_line(data):
+    """The config layer either builds all five configs or raises an error
+    `main` reports as a single `error:` line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        try:
+            cfg = cli.load_settings(path, {})
+            built = [cli.build(cls, cfg, **({"vocab_size": 40} if cls is ModelConfig else {}))
+                     for cls in COMPONENTS]
+        except cli.REPORTED_ERRORS as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert [type(c) for c in built] == list(COMPONENTS)

@@ -1,7 +1,10 @@
 import json
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trrgen import corpus as C
 
@@ -221,6 +224,13 @@ class TestEncodeRecord:
         assert enc.tgt_ids[0] == C.SOS_ID and enc.tgt_ids[-1] == C.EOS_ID
         assert self.vocab.decode(enc.tgt_ids[1:-1]) == ["ok"]
 
+    @pytest.mark.parametrize("limits", [{"max_review_tokens": 0}, {"max_review_tokens": -1},
+                                        {"max_response_tokens": 1}])
+    def test_token_limits_checked(self, limits):
+        # a negative limit used to slice tokens off the end of the text
+        with pytest.raises(C.CorpusError, match="max_review_tokens"):
+            C.PreprocessConfig(**limits)
+
     def test_truncation(self):
         long_rec = C.ReviewRecord("a", "TOOLS", 4, " ".join(["w"] * 200), "ok")
         cfg = C.PreprocessConfig(max_review_tokens=60)
@@ -235,6 +245,41 @@ class TestEncodeRecord:
         rec = C.ReviewRecord("a", "NOPE", 4, "great", "ok")
         with pytest.raises(C.CorpusError):
             C.encode_record(rec, self.vocab, self.cfg)
+
+    def encode(self, review, response):
+        records = [C.ReviewRecord("a", "GAME", 3, "thanks bye", "thanks bye"),
+                   C.ReviewRecord("a", "TOOLS", 4, review, response)]
+        vocab = C.build_vocabulary(records, min_freq=1)
+        return C.encode_record(records[1], vocab, self.cfg), vocab
+
+    def test_special_tokens_in_response_read_as_unk(self):
+        enc, vocab = self.encode("fine", "thanks ⟨eos⟩ ⟨pad⟩ bye")
+        ids = vocab.token_to_id
+        assert enc.tgt_ids == [C.SOS_ID, ids["thanks"], C.UNK_ID, C.UNK_ID, ids["bye"],
+                               C.EOS_ID]
+
+    def test_sos_rating_and_category_in_review_read_as_unk(self):
+        enc, vocab = self.encode("⟨sos⟩ ⟨3⟩ ⟨cat:GAME⟩ ⟨cat:NOPE⟩ ⟨5⟩", "ok")
+        assert enc.src_ids == [C.UNK_ID] * 5
+        assert (enc.rating_id, enc.category_id) == (vocab.token_to_id["⟨4⟩"],
+                                                    vocab.token_to_id["⟨cat:TOOLS⟩"])
+
+    def test_every_rating_token_in_text_read_as_unk(self):
+        text = " ".join(C.RATING_TOKENS.values())
+        enc, _ = self.encode(text, text)
+        assert enc.src_ids == [C.UNK_ID] * 5 and enc.tgt_ids[1:-1] == [C.UNK_ID] * 5
+
+    def test_placeholders_keep_their_ids(self):
+        text = " ".join(C.PLACEHOLDER_TOKENS)
+        enc, vocab = self.encode(text, text)
+        expected = [vocab.token_to_id[t] for t in C.PLACEHOLDER_TOKENS]
+        assert C.UNK_ID not in expected
+        assert enc.src_ids == expected and enc.tgt_ids[1:-1] == expected
+
+    def test_category_token_in_text_is_not_a_vocabulary_category(self):
+        _, vocab = self.encode("⟨cat:FAKE⟩ ⟨cat:FAKE⟩", "⟨cat:FAKE⟩")
+        assert vocab.categories == ["GAME", "TOOLS"]
+        assert "⟨cat:FAKE⟩" not in vocab.token_to_id
 
 
 class TestLoadCorpus:
@@ -300,3 +345,32 @@ class TestSplitCorpus:
             C.split_corpus(self.make(10), 0, (0.5, 0.4, 0.2))
         with pytest.raises(C.CorpusError):
             C.split_corpus(self.make(3), 0, (0.9, 0.05, 0.05))
+
+
+FIELD_VALUES = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(0, 6),
+                         st.floats(), st.text(max_size=12), st.lists(st.integers(), max_size=2),
+                         st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+RECORD_KEYS = ("app_name", "category", "rating", "review", "response")
+JSONL_LINES = st.one_of(
+    st.fixed_dictionaries({}, optional={k: FIELD_VALUES for k in RECORD_KEYS}).map(json.dumps),
+    st.fixed_dictionaries({**{k: st.text(max_size=12) for k in RECORD_KEYS},
+                           "rating": FIELD_VALUES}).map(json.dumps),
+    FIELD_VALUES.map(json.dumps),
+    st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSONL_LINES)
+def test_any_jsonl_line_loads_or_raises_corpus_error(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "corpus.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        try:
+            records = C.load_corpus(path)
+        except C.CorpusError as exc:
+            assert str(exc).startswith(f"{path}:1: ") and "\n" not in str(exc)
+        else:
+            assert len(records) == (1 if line.strip() else 0)
+            for rec in records:
+                rec.validate()

@@ -59,6 +59,15 @@ class TestConfig:
         with pytest.raises(M.ConfigError):
             M.ModelConfig(vocab_size=10, d_model=8, fusion_variant="bogus")
 
+    def test_zero_heads_rejected(self):
+        with pytest.raises(M.ConfigError, match="n_heads"):
+            M.ModelConfig(vocab_size=10, d_model=8, n_heads=0)
+
+    @pytest.mark.parametrize("d_model", [0, -4])
+    def test_non_positive_d_model_rejected(self, d_model):
+        with pytest.raises(M.ConfigError, match="d_model"):
+            M.ModelConfig(vocab_size=10, d_model=d_model, n_heads=2)
+
 
 class TestEmbedReview:
     VARIANT_LENGTHS = {"vanilla": 7, "rating_only": 7, "category_only": 8,

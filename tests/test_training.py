@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from trrgen.corpus import PreprocessConfig, build_vocabulary
 from trrgen.training import TrainOptions, train_model
@@ -13,6 +14,20 @@ def setup_tiny(n=16, seed=0):
     vocab, config = build_tiny_setup(records, pre_cfg, d_model=16, d_ff=32)
     encoded, _ = encode_corpus(records, vocab, pre_cfg)
     return encoded, config
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -1), ("validate_every", 0), ("patience", -1),
+    ("lr", 0.0), ("lr", -1e-3), ("lr", float("inf")), ("lr", float("nan")),
+    ("adam_eps", 0.0), ("adam_eps", float("nan")), ("beta1", 1.0), ("beta1", -0.1),
+    ("beta2", 1.0), ("beta2", float("nan")), ("lr", 10 ** 400)])
+def test_bad_option_rejected_naming_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        TrainOptions(**{field: value})
+
+
+def test_boundary_options_accepted():
+    TrainOptions(batch_size=1, validate_every=1, patience=0, lr=1, beta1=0.0, beta2=0.0)
 
 
 def test_loss_decreases_after_one_epoch():
