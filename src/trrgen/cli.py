@@ -294,9 +294,14 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `error:` line from `main`, not usage and exit 2
+        raise CliError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="trrgen",
-                                     description="Feature-fused transformer for review response generation")
+    parser = _Parser(prog="trrgen",
+                     description="Feature-fused transformer for review response generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="normalize a corpus (and optionally drop ad sentences)")
@@ -357,8 +362,8 @@ REPORTED_ERRORS = (ValueError, OSError, FloatingPointError)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ class DecodeConfig:
     strategy: str = "greedy"
     beam_width: int = 4
     max_len: int | None = None  # None -> model max_tgt_len - 1, the longest allowed
-    length_penalty: float = 0.0
+    length_penalty: float = 0.0  # in [0, 10]; ranks by summed logprob / length ** penalty
 
     def __post_init__(self):
         if self.strategy not in ("greedy", "beam"):
@@ -31,6 +31,8 @@ class DecodeConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
+        if not 0 <= self.length_penalty <= 10:
+            raise ValueError(f"length_penalty must be in [0, 10], got {self.length_penalty!r}")
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -99,14 +101,6 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
     if tokens and tokens[-1] == EOS_ID:
         tokens = tokens[:-1]
     return tokens
-
-
-def hypothesis_score(tokens: list[int], enc: EncoderOutput, params: Parameters,
-                     config: ModelConfig) -> float:
-    """Summed log-probability the model assigns to `tokens` + ⟨eos⟩, from one
-    teacher-forced decoder pass over ⟨sos⟩ + `tokens`."""
-    logp = _log_softmax(decoder_forward([SOS_ID] + tokens, enc, params, config).values)
-    return float(logp[np.arange(len(tokens) + 1), tokens + [EOS_ID]].sum())
 
 
 def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,

@@ -16,7 +16,7 @@ import numpy as np
 from .tensor import (Tensor, Tape, matmul, add, scale, relu, softmax, layer_norm,
                      concat_rows, split_heads, merge_heads, embedding_lookup, dropout,
                      cross_entropy_logits)
-from .corpus import EncodedRecord, PAD_ID
+from .corpus import EncodedRecord
 
 FUSION_VARIANTS = ("vanilla", "rating_only", "category_only",
                    "trrgen_concat", "trrgen_sum", "trrgen_order")
@@ -351,10 +351,9 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
     for rec in batch:
         enc = encode_review(rec, params, config, tape, training, rng)
         logits = decoder_forward(rec.tgt_ids[:-1], enc, params, config, tape, training, rng)
-        ce = cross_entropy_logits(logits, rec.tgt_ids[1:], ignore_id=PAD_ID,
-                                  tape=tape, reduction="sum")
+        ce = cross_entropy_logits(logits, rec.tgt_ids[1:], tape=tape, reduction="sum")
         total = ce if total is None else add(total, ce, tape)
-        count += sum(1 for t in rec.tgt_ids[1:] if t != PAD_ID)
+        count += len(rec.tgt_ids) - 1
     loss = scale(total, 1.0 / count, tape)
     if not np.isfinite(loss.values):
         raise FloatingPointError("non-finite training loss")

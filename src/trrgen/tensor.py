@@ -7,7 +7,8 @@ any primitive runs it in inference mode (no recording, no gradients).
 
 Every primitive records its backward rule through one helper, `_record`, and
 takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
-run the same code.
+run the same code. Backward frees each intermediate gradient once its entry
+has run, so only leaves such as parameters keep `.grad` afterwards.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor):
-        """Populate `.grad` on every tensor reachable from `loss` through the tape."""
+        """Accumulate `.grad` on every leaf tensor reachable from `loss`
+        through the tape; intermediate gradients are freed as they are used."""
         if loss.values.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.values.shape}")
         loss.grad = np.ones_like(loss.values)
@@ -92,12 +94,13 @@ class Tape:
 
 def _record(tape: Tape | None, out: Tensor, grad_fn) -> Tensor:
     """Record `grad_fn(out.grad)` on `tape`, skipped when no gradient reached
-    `out`; returns `out`. With no tape nothing is recorded."""
+    `out`, and free `out.grad`, which no later entry reads; returns `out`.
+    With no tape nothing is recorded."""
     if tape is not None:
         def bwd():
-            if out.grad is None:
-                return
-            grad_fn(out.grad)
+            g, out.grad = out.grad, None
+            if g is not None:
+                grad_fn(g)
         tape.record(bwd)
     return out
 

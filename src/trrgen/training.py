@@ -61,17 +61,12 @@ def _epoch_loss(records: list[EncodedRecord], params: Parameters,
     return total / count
 
 
-def _snapshot(params: Parameters) -> Parameters:
-    clone = copy.deepcopy(params)
-    for _, t in clone.named():
-        t.grad = None
-    return clone
-
-
 def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
                 config: ModelConfig, opts: TrainOptions,
                 log_fn=None) -> TrainResult:
-    """Seed-deterministic training; keeps the best-validation parameters.
+    """Seed-deterministic training with early stopping. Returns the parameters
+    of the validated epoch with the lowest validation loss, or the final ones
+    when no epoch was validated.
 
     Emits one log dict per epoch (epoch, train_loss, valid_loss) through
     `log_fn` and in the returned result.
@@ -85,8 +80,7 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
     dropout_rng = np.random.default_rng(opts.seed + 1)
     order_rng = random.Random(opts.seed + 2)
 
-    result = TrainResult(params=params)
-    best = _snapshot(params)
+    result = TrainResult(params=params)  # the final parameters until an epoch is validated
     stale = 0
     for epoch in range(1, opts.epochs + 1):
         idx = list(range(len(train)))
@@ -95,11 +89,10 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
         for i in range(0, len(idx), opts.batch_size):
             batch = [train[j] for j in idx[i:i + opts.batch_size]]
             tape = Tape()
-            rng = dropout_rng if config.dropout > 0 else None
-            loss = forward_training(batch, params, config, tape, rng)
-            zero_grads(tensors)
+            loss = forward_training(batch, params, config, tape, dropout_rng)
             tape.backward(loss)
             adam_step(tensors, state)
+            zero_grads(tensors)
             n = sum(len(r.tgt_ids) - 1 for r in batch)
             running += float(loss.values) * n
             seen += n
@@ -112,20 +105,13 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
             if valid_loss < result.best_valid_loss:
                 result.best_valid_loss = valid_loss
                 result.best_epoch = epoch
-                best = _snapshot(params)
+                result.params = copy.deepcopy(params)
                 stale = 0
             else:
                 stale += 1
         result.log.append(entry)
         if log_fn:
             log_fn(entry)
-        if valid and stale > opts.patience:
+        if stale > opts.patience or train_loss < opts.stop_loss:
             break
-        if train_loss < opts.stop_loss:
-            if not valid or entry.get("valid_loss", float("inf")) <= result.best_valid_loss:
-                best = _snapshot(params)
-                result.best_epoch = epoch
-            break
-
-    result.params = best if valid else _snapshot(params)
     return result

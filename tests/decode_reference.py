@@ -1,10 +1,11 @@
 """Loop-based decoders kept as test oracles for `trrgen.generation`.
 
-`greedy_decode` appends the argmax token, `beam_decode` builds and sorts a
-Python list of (prefix, score, token) candidates each step, and
-`hypothesis_score` runs one full decoder forward per prefix. The library
-replaces all three with one vectorized beam loop and one teacher-forced pass;
-tests require token-identical output and scores within 1e-12 relative error.
+`greedy_decode` appends the argmax token and `beam_decode` builds and sorts a
+Python list of (prefix, score, token) candidates each step; the library
+replaces both with one vectorized beam loop, and tests require token-identical
+output. `hypothesis_score` runs one full decoder forward per prefix; it is the
+oracle for scoring a whole sequence in one teacher-forced pass (within 1e-12
+relative error) and for comparing decoded hypotheses.
 """
 
 import numpy as np

@@ -206,6 +206,16 @@ class TestTrainGenerateEvaluate:
         assert len(err) == 1 and err[0].startswith("error:") and "max_len" in err[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("penalty", ["1e8", "inf", "nan", "-1"])
+    def test_generate_bad_length_penalty_fails(self, trained, capsys, penalty):
+        assert run(["generate", "--checkpoint", trained, "--review", "love it",
+                    "--rating", 5, "--category", "GAME", "--strategy", "beam",
+                    "--length-penalty", penalty]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: length_penalty"), err
+        assert captured.out == ""
+
     def test_model_and_training_flags_rejected(self, trained, corpus_file, tmp_path,
                                                capsys):
         generate = ["generate", "--checkpoint", trained, "--review", "love it",
@@ -237,6 +247,26 @@ class TestTrainGenerateEvaluate:
         empty.write_text("")
         assert run(["evaluate", "--checkpoint", trained, "--test", empty]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("args,words", [
+    (["generate", "--checkpoint", "x", "--rating", "abc"], ("--rating", "abc")),
+    (["generate", "--review", "x"], ("required", "--checkpoint")),
+    (["preprocess", "--input", "a", "--output", "b", "--format", "csv"], ("--format", "csv"))])
+def test_command_line_errors_are_one_error_line(args, words, capsys):
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: trrgen "), err
+    assert all(word in err[0] for word in words), err
+    assert captured.out == ""
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", "--help"])
+    assert exc.value.code == 0
+    assert "--checkpoint" in capsys.readouterr().out
 
 
 class TestAblate:

@@ -4,9 +4,8 @@ import pytest
 from trrgen import model as M
 from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
-                           tokenize, EOS_ID)
-from trrgen.generation import (DecodeConfig, beam_decode, hypothesis_score,
-                               generate, postprocess)
+                           tokenize, SOS_ID, EOS_ID)
+from trrgen.generation import DecodeConfig, beam_decode, generate, postprocess
 
 import decode_reference as ref
 
@@ -30,6 +29,15 @@ class TestDecodeConfig:
     def test_rejects_zero_beam(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_width=0)
+
+    @pytest.mark.parametrize("penalty", [-0.5, 10.5, 1e8, float("inf"), float("nan")])
+    def test_rejects_length_penalty_outside_range(self, penalty):
+        with pytest.raises(ValueError, match="^length_penalty must be in"):
+            DecodeConfig(strategy="beam", length_penalty=penalty)
+
+    def test_length_penalty_range_is_inclusive(self):
+        assert DecodeConfig(length_penalty=0).length_penalty == 0
+        assert DecodeConfig(length_penalty=10).length_penalty == 10
 
 
 class TestGreedy:
@@ -76,8 +84,8 @@ class TestBeam:
                            DecodeConfig(strategy="beam", beam_width=4))
         if len(greedy) >= config.max_tgt_len - 1 or len(beam) >= config.max_tgt_len - 1:
             pytest.skip("hypothesis hit the length cap; scores not comparable")
-        gs = hypothesis_score(greedy, enc, params, config)
-        bs = hypothesis_score(beam, enc, params, config)
+        gs = ref.hypothesis_score(greedy, enc, params, config)
+        bs = ref.hypothesis_score(beam, enc, params, config)
         assert bs >= gs - 1e-9
 
     @pytest.mark.parametrize("width", range(1, 6))
@@ -154,13 +162,16 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_teacher_forced_score(self, seed):
+        """One decoder pass over ⟨sos⟩ + tokens scores them as the per-prefix
+        oracle does, the equality an incremental decoder must keep."""
         params, config = random_model(seed)
         enc = enc_for(params, config)
         rng = np.random.default_rng(seed)
         for n in (0, 1, config.max_tgt_len - 1):
             tokens = [int(t) for t in rng.integers(0, config.vocab_size, n)]
             expected = ref.hypothesis_score(tokens, enc, params, config)
-            got = hypothesis_score(tokens, enc, params, config)
+            logits = M.decoder_forward([SOS_ID] + tokens, enc, params, config).values
+            got = sum(ref._log_softmax(row)[tok] for row, tok in zip(logits, tokens + [EOS_ID]))
             assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_max_len_above_cap_rejected_before_decoding(self, monkeypatch):

@@ -241,6 +241,25 @@ class TestBackward:
         tape.backward(loss)
         np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
+    def test_frees_intermediate_gradients_and_keeps_leaf_gradients(self):
+        rng = np.random.default_rng(7)
+        x, w = Tensor(rng.normal(size=(3, 4))), Tensor(rng.normal(size=(4, 4)))
+        gamma, beta = Tensor(rng.uniform(0.5, 1.5, 4)), Tensor(rng.normal(size=4))
+        outputs = []
+
+        def build():
+            tape = Tape()
+            h = matmul(x, w, tape)
+            z = layer_norm(relu(h, tape), gamma, beta, tape)
+            loss = cross_entropy_logits(z, [0, 3, 1], tape=tape)
+            outputs[:] = [h, z, loss]
+            return loss, tape
+        loss, tape = build()
+        tape.backward(loss)
+        assert [t.grad for t in outputs] == [None, None, None]
+        assert all(p.grad is not None for p in (x, w, gamma, beta))
+        assert grad_check(build, [x, w, gamma, beta]) <= 1e-6
+
     def test_non_scalar_loss_rejected(self):
         x = rand((2, 2))
         tape = Tape()

@@ -3,7 +3,7 @@ import pytest
 
 from trrgen.corpus import PreprocessConfig, build_vocabulary
 from trrgen.training import TrainOptions, train_model
-from trrgen.model import forward_training
+from trrgen.model import forward_training, init_parameters
 
 from conftest import make_records, encode_corpus, build_tiny_setup
 
@@ -68,3 +68,46 @@ def test_early_stop_on_patience():
     opts = TrainOptions(lr=0.5, batch_size=8, epochs=50, patience=1, seed=3)
     result = train_model(train, valid, config, opts)
     assert len(result.log) < 50
+
+
+def same_parameters(a, b):
+    return all(np.array_equal(ta.values, tb.values)
+               for (_, ta), (_, tb) in zip(a.named(), b.named()))
+
+
+def test_returns_best_validated_epoch_parameters():
+    encoded, config = setup_tiny(24)
+    train, valid = encoded[:16], encoded[16:]
+    opts = TrainOptions(lr=0.02, batch_size=8, epochs=4, patience=10, seed=2)
+    result = train_model(train, valid, config, opts)
+    assert 1 <= result.best_epoch < len(result.log) == 4  # a later epoch was worse
+    # validation draws nothing, so training alone to the best epoch replays it
+    upto_best = train_model(train, [], config, TrainOptions(
+        lr=0.02, batch_size=8, epochs=result.best_epoch, seed=2))
+    assert same_parameters(result.params, upto_best.params)
+    assert all(t.grad is None for _, t in result.params.named())
+
+
+def test_never_validated_run_returns_final_parameters():
+    encoded, config = setup_tiny(24)
+    train, valid = encoded[:16], encoded[16:]
+    opts = TrainOptions(lr=1e-3, batch_size=8, epochs=3, validate_every=5, seed=2)
+    result = train_model(train, valid, config, opts)
+    final = train_model(train, [], config, opts)
+    assert all("valid_loss" not in e for e in result.log) and len(result.log) == 3
+    assert same_parameters(result.params, final.params)
+    assert not same_parameters(result.params, init_parameters(config, seed=2))
+    assert result.best_epoch == -1 and result.best_valid_loss == float("inf")
+
+
+@pytest.mark.parametrize("with_valid", [False, True])
+def test_stop_loss_exit_without_validation_has_no_best_epoch(with_valid):
+    encoded, config = setup_tiny(24)
+    train, valid = encoded[:16], (encoded[16:] if with_valid else [])
+    opts = TrainOptions(lr=1e-3, batch_size=8, epochs=3, validate_every=2, seed=2,
+                        stop_loss=1e9)
+    result = train_model(train, valid, config, opts)
+    one_epoch = train_model(train, [], config, TrainOptions(lr=1e-3, batch_size=8, epochs=1,
+                                                            seed=2))
+    assert len(result.log) == 1 and result.best_epoch == -1
+    assert same_parameters(result.params, one_epoch.params)
