@@ -4,6 +4,12 @@ Both strategies run one deterministic beam search over summed token
 log-probabilities: "beam" at `beam_width`, "greedy" at width 1, which picks
 the most probable token (ties broken by lowest token id) at each step. There
 is no sampling path.
+
+Decoding is incremental: the cross-attention keys and values of the review
+are computed once, and each step runs only the newest position of every live
+hypothesis against a cache of the earlier ones (`model.decoder_step`), so no
+step recomputes the prefix. Tests hold it to the per-prefix decoders of
+`tests/decode_reference.py`, which rerun `decoder_forward` on every prefix.
 """
 
 from __future__ import annotations
@@ -14,21 +20,26 @@ import numpy as np
 
 from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord
 from .model import (ModelConfig, ConfigError, Parameters, EncoderOutput, encode_review,
-                    decoder_forward)
+                    init_decoder_cache, decoder_step)
+
+
+# Live hypotheses, and so decoding time and memory, grow with the width.
+MAX_BEAM_WIDTH = 64
 
 
 @dataclass
 class DecodeConfig:
     strategy: str = "greedy"
-    beam_width: int = 4
+    beam_width: int = 4  # in [1, MAX_BEAM_WIDTH]
     max_len: int | None = None  # None -> model max_tgt_len - 1, the longest allowed
     length_penalty: float = 0.0  # in [0, 10]; ranks by summed logprob / length ** penalty
 
     def __post_init__(self):
         if self.strategy not in ("greedy", "beam"):
             raise ValueError(f"unknown decode strategy {self.strategy!r}")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+        if not 1 <= self.beam_width <= MAX_BEAM_WIDTH:
+            raise ValueError(f"beam_width must be in [1, {MAX_BEAM_WIDTH}], "
+                             f"got {self.beam_width!r}")
         if self.max_len is not None and self.max_len < 1:
             raise ValueError("max_len must be >= 1")
         if not 0 <= self.length_penalty <= 10:
@@ -62,12 +73,12 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
                 decode: DecodeConfig) -> list[int]:
     """Beam search over summed token log-probabilities; greedy is width 1.
 
-    Each step runs the decoder once over the [W, t] array of live prefixes,
-    which share the review's encoder states, scores every hypothesis extended
-    by every token and walks the best 2·width candidates: those ending in
-    ⟨eos⟩ are retired, the rest stay live until `width` are. The best finished
-    hypothesis (or, failing any, the best live one) wins; ⟨sos⟩/⟨eos⟩ are
-    stripped.
+    Each step runs the decoder on the newest token of the W live hypotheses,
+    scores every hypothesis extended by every token and walks the best
+    2·width candidates: those ending in ⟨eos⟩ are retired, the rest stay live
+    until `width` are, and the cache keeps the rows of their parents. The best
+    finished hypothesis (or, failing any, the best live one) wins; ⟨sos⟩/⟨eos⟩
+    are stripped.
     """
     max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
     if max_len > config.max_tgt_len - 1:
@@ -76,19 +87,25 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
     width = decode.beam_width if decode.strategy == "beam" else 1
     live = [([SOS_ID], 0.0)]   # (prefix, summed logprob)
     finished: list[tuple[list[int], float]] = []
+    cache = init_decoder_cache(enc, params, config)
 
     for _ in range(max_len):
-        prefixes = np.array([prefix for prefix, _ in live])
-        logits = decoder_forward(prefixes, enc, params, config).values[:, -1]
+        logits = decoder_step(np.array([prefix[-1] for prefix, _ in live]), cache,
+                              params, config)
         scores = np.array([score for _, score in live])[:, None] + _log_softmax(logits)
-        beams, live = live, []
+        beams, live, parents = live, [], []
         for h, tok in _top_candidates(scores, width * 2):
             hyp = (beams[h][0] + [tok], scores[h, tok])
-            (finished if tok == EOS_ID else live).append(hyp)
+            if tok == EOS_ID:
+                finished.append(hyp)
+            else:
+                live.append(hyp)
+                parents.append(h)
             if len(live) >= width:
                 break
         if not live or len(finished) >= width:
             break
+        cache.select(parents)
 
     def final_score(hyp):
         tokens, score = hyp

@@ -203,6 +203,22 @@ def causal_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _heads(x: Tensor, w: Tensor, d_k: int, tape: Tape | None, keys: bool = False) -> Tensor:
+    """x @ w split into heads; see `split_heads`."""
+    return split_heads(matmul(x, w, tape), d_k, tape, keys)
+
+
+def _attend(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray,
+            tape: Tape | None) -> tuple[Tensor, Tensor]:
+    """softmax(Q Kᵀ / sqrt(d_k) + mask) V from [..., H, Tq, d_k] queries,
+    [..., H, d_k, Tk] keys and [..., H, Tk, d_k] values, with heads merged to
+    [..., Tq, H*d_k], ready for Wo; also returns the [..., H, Tq, Tk] weights."""
+    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(q.values.shape[-1]), tape),
+                 mask, tape)
+    attn = softmax(scores, tape, axis=-1)
+    return merge_heads(matmul(attn, v, tape), tape), attn
+
+
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
                          p: AttentionParams, tape: Tape | None,
                          d_k: int, return_weights: bool = False):
@@ -215,12 +231,9 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
     tq, tk = x_q.values.shape[-2], x_kv.values.shape[-2]
     if any(m not in (1, n) for n, m in zip((tk, tq), mask.shape[::-1])):
         raise ConfigError(f"mask shape {mask.shape} does not broadcast to {(tq, tk)}")
-    q = split_heads(matmul(x_q, p.wq, tape), d_k, tape)
-    k_t = split_heads(matmul(x_kv, p.wk, tape), d_k, tape, keys=True)
-    v = split_heads(matmul(x_kv, p.wv, tape), d_k, tape)
-    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(d_k), tape), mask, tape)
-    attn = softmax(scores, tape, axis=-1)
-    z = matmul(merge_heads(matmul(attn, v, tape), tape), p.wo, tape)
+    z, attn = _attend(_heads(x_q, p.wq, d_k, tape), _heads(x_kv, p.wk, d_k, tape, keys=True),
+                      _heads(x_kv, p.wv, d_k, tape), mask, tape)
+    z = matmul(z, p.wo, tape)
     if return_weights:
         return z, attn.values
     return z
@@ -323,6 +336,73 @@ def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
         h = sublayer_connect(h, f, layer.norm3, tape)
     return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
+
+
+@dataclass
+class DecoderCache:
+    """Inference state for decoding one review, one row per live hypothesis.
+
+    Per decoder layer, `cross` holds the cross-attention keys [H, d_k, Tk] and
+    values [H, Tk, d_k] of the encoder states, computed once, and `self_kv`
+    the self-attention keys [W, H, d_k, t] and values [W, H, t, d_k] of the
+    `length` positions decoded so far."""
+    cross: list[tuple[Tensor, Tensor]]
+    src_mask: np.ndarray
+    positions: np.ndarray   # [max_tgt_len, d_model] positional rows
+    self_kv: list[tuple[np.ndarray, np.ndarray]]
+    length: int = 0
+
+    def select(self, rows):
+        """Keep the hypotheses at `rows`, in that order; a row may repeat."""
+        self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
+
+
+def init_decoder_cache(enc: EncoderOutput, params: Parameters,
+                       config: ModelConfig) -> DecoderCache:
+    """An empty cache with one hypothesis row, for decoding from the [Tk, d]
+    encoder states of one review."""
+    h, d_k = config.n_heads, config.d_k
+    cross = [(_heads(enc.states, a.wk, d_k, None, keys=True), _heads(enc.states, a.wv, d_k, None))
+             for a in (layer.cross_attn for layer in params.decoder)]
+    empty = [(np.empty((1, h, d_k, 0)), np.empty((1, h, 0, d_k))) for _ in params.decoder]
+    return DecoderCache(cross, enc.src_mask,
+                        positional_encoding(config.max_tgt_len, config.d_model), empty)
+
+
+def decoder_step(tokens, cache: DecoderCache, params: Parameters,
+                 config: ModelConfig) -> np.ndarray:
+    """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
+    at position `cache.length`: the last row of `decoder_forward` over each
+    hypothesis's prefix, computed for that one position against the cache,
+    which gains the position's self-attention keys and values.
+
+    Rows are hypotheses, so every position-wise product is one [W, d] matmul;
+    only self-attention splits them, as [W, H, 1, d_k] heads."""
+    pos = cache.length
+    if pos >= config.max_tgt_len:
+        raise ConfigError(f"target length {pos + 1} exceeds max_tgt_len {config.max_tgt_len}")
+    n, d_k = len(tokens), config.d_k
+
+    def heads(x, w, *shape):  # one position's x @ w as [W, H, *shape] heads
+        return matmul(x, w).values.reshape(n, config.n_heads, *shape)
+
+    h = add(embedding_lookup(params.embedding, tokens), cache.positions[pos])
+    for i, layer in enumerate(params.decoder):
+        a = layer.self_attn
+        k_t, v = cache.self_kv[i]
+        k_t = np.concatenate([k_t, heads(h, a.wk, d_k, 1)], axis=-1)
+        v = np.concatenate([v, heads(h, a.wv, 1, d_k)], axis=-2)
+        cache.self_kv[i] = k_t, v
+        # the newest position attends to every cached one, so nothing is masked
+        z, _ = _attend(Tensor(heads(h, a.wq, 1, d_k)), Tensor(k_t), Tensor(v), np.zeros(1), None)
+        h = sublayer_connect(h, matmul(Tensor(z.values.reshape(n, -1)), a.wo), layer.norm1, None)
+        # the W queries share the review's keys, so they are the query axis
+        a = layer.cross_attn
+        z, _ = _attend(_heads(h, a.wq, d_k, None), *cache.cross[i], cache.src_mask, None)
+        h = sublayer_connect(h, matmul(z, a.wo), layer.norm2, None)
+        h = sublayer_connect(h, feed_forward(h, layer.ffn, None), layer.norm3, None)
+    cache.length += 1
+    return add(matmul(h, params.out_proj), params.out_bias).values
 
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,

@@ -1,11 +1,13 @@
-"""Loop-based decoders kept as test oracles for `trrgen.generation`.
+"""Per-prefix decoders kept as test oracles for `trrgen.generation`.
 
-`greedy_decode` appends the argmax token and `beam_decode` builds and sorts a
-Python list of (prefix, score, token) candidates each step; the library
-replaces both with one vectorized beam loop, and tests require token-identical
-output. `hypothesis_score` runs one full decoder forward per prefix; it is the
-oracle for scoring a whole sequence in one teacher-forced pass (within 1e-12
-relative error) and for comparing decoded hypotheses.
+Each runs one full `decoder_forward` over every prefix it extends and keeps
+the last row, with no cache. `greedy_decode` appends the argmax token and
+`beam_decode` builds and sorts a Python list of (prefix, score, token)
+candidates each step. The library decodes one position per step from a
+key/value cache, in one vectorized beam loop, and tests require
+token-identical output. `hypothesis_score` sums per-prefix log-probabilities;
+it is the oracle for scoring a whole sequence in one teacher-forced pass
+(within 1e-12 relative error) and for comparing decoded hypotheses.
 """
 
 import numpy as np

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -125,6 +127,15 @@ def train_tiny(tmp_path, corpus_file, seed=0, variant="trrgen_concat", epochs=2)
     return ckpt, log
 
 
+@pytest.fixture(scope="session")
+def session_checkpoint(tmp_path_factory):
+    """One tiny trained checkpoint shared by the tests that only read it."""
+    tmp = tmp_path_factory.mktemp("session_ckpt")
+    corpus = tmp / "corpus.jsonl"
+    write_jsonl(corpus, make_records(12, seed=3))
+    return train_tiny(tmp, corpus, epochs=1)[0]
+
+
 class TestTrainGenerateEvaluate:
     def test_train_writes_log_and_checkpoint(self, tmp_path, corpus_file, capsys):
         ckpt, log = train_tiny(tmp_path, corpus_file)
@@ -214,6 +225,15 @@ class TestTrainGenerateEvaluate:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: length_penalty"), err
+        assert captured.out == ""
+
+    def test_generate_beam_width_above_ceiling_fails(self, session_checkpoint, capsys):
+        assert run(["generate", "--checkpoint", session_checkpoint, "--review", "love it",
+                    "--rating", 5, "--category", "GAME", "--strategy", "beam",
+                    "--beam-width", 100000]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: beam_width"), err
         assert captured.out == ""
 
     def test_model_and_training_flags_rejected(self, trained, corpus_file, tmp_path,
@@ -449,3 +469,48 @@ def test_any_config_file_builds_or_is_one_error_line(data):
             assert "\n" not in str(exc)
         else:
             assert [type(c) for c in built] == list(COMPONENTS)
+
+
+GOOD_BATCH_LINE = st.fixed_dictionaries({
+    "review": st.lists(st.sampled_from(["love", "app", "crash", "⟨sos⟩", "!"]), min_size=1)
+              .map(" ".join) | st.text(min_size=1, max_size=8),
+    "rating": st.integers(1, 5), "category": st.sampled_from(["GAME", "TOOLS"])}).map(
+        lambda obj: json.dumps(obj, ensure_ascii=False).encode())
+BLANK_LINE = st.sampled_from([b"", b"  ", b"\t", b"\r"])
+ODD_FIELD = st.sampled_from(["love it", " ", "", "GAME", "FOO"]) | st.integers(0, 6) | JSON_VALUES
+BAD_BATCH_LINE = st.one_of(
+    st.fixed_dictionaries({}, optional={"review": ODD_FIELD, "rating": ODD_FIELD,
+                                        "category": ODD_FIELD})
+    .map(lambda obj: json.dumps(obj, ensure_ascii=False).encode()),
+    st.sampled_from([b"{", b"null", b"[]", b'"x"']), st.text(max_size=12).map(str.encode),
+    st.binary(max_size=6))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(GOOD_BATCH_LINE | BLANK_LINE, max_size=4), st.none() | BAD_BATCH_LINE,
+       st.integers(0, 4), st.booleans())
+def test_any_batch_file_generates_or_is_one_error_line(session_checkpoint, lines, odd, at,
+                                                       newline):
+    """`generate --batch` either answers every non-blank line with one JSON
+    line, or exits 1 with a single `error:` line and no traceback."""
+    if odd is not None:
+        lines.insert(at, odd)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "batch.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines) + (b"\n" if newline else b""))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["generate", "--checkpoint", str(session_checkpoint), "--batch", path])
+        if code == 0:
+            with open(path, encoding="utf-8") as fh:  # lines as the command reads them
+                inputs = [line for line in fh if line.strip()]
+            answers = out.getvalue().split("\n")
+            assert answers.pop() == "" and len(answers) == len(inputs)
+            assert all(set(json.loads(a)) == {"input", "response"} for a in answers)
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            errors = err.getvalue().splitlines()
+            assert len(errors) == 1 and errors[0].startswith("error: "), errors
+            assert "Traceback" not in err.getvalue()

@@ -10,10 +10,10 @@ from trrgen.generation import DecodeConfig, beam_decode, generate, postprocess
 import decode_reference as ref
 
 
-def random_model(seed, vocab_size=14):
-    config = M.ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, n_layers=1,
+def random_model(seed, vocab_size=14, n_layers=1, variant="vanilla"):
+    config = M.ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, n_layers=n_layers,
                            d_ff=16, max_tgt_len=10, dropout=0.0,
-                           fusion_variant="vanilla", seed=seed)
+                           fusion_variant=variant, seed=seed)
     return M.init_parameters(config, seed=seed), config
 
 
@@ -29,6 +29,15 @@ class TestDecodeConfig:
     def test_rejects_zero_beam(self):
         with pytest.raises(ValueError):
             DecodeConfig(beam_width=0)
+
+    @pytest.mark.parametrize("width", [-1, 65, 100000])
+    def test_rejects_beam_width_outside_range(self, width):
+        with pytest.raises(ValueError, match=r"^beam_width must be in \[1, 64\]"):
+            DecodeConfig(strategy="beam", beam_width=width)
+
+    def test_beam_width_range_is_inclusive(self):
+        assert DecodeConfig(strategy="beam", beam_width=1).beam_width == 1
+        assert DecodeConfig(strategy="beam", beam_width=64).beam_width == 64
 
     @pytest.mark.parametrize("penalty", [-0.5, 10.5, 1e8, float("inf"), float("nan")])
     def test_rejects_length_penalty_outside_range(self, penalty):
@@ -95,13 +104,17 @@ class TestBeam:
         enc = enc_for(params, config)
         calls = []
 
-        def counting(ids, *args):
-            calls.append(np.shape(ids))
-            return M.decoder_forward(ids, *args)
-        monkeypatch.setattr("trrgen.generation.decoder_forward", counting)
+        def counting(tokens, *args):
+            calls.append(np.shape(tokens))
+            return M.decoder_step(tokens, *args)
+
+        def full_prefix(*args):
+            raise AssertionError("decoding ran decoder_forward")
+        monkeypatch.setattr("trrgen.generation.decoder_step", counting)
+        monkeypatch.setattr("trrgen.model.decoder_forward", full_prefix)
         decode = DecodeConfig(strategy="beam", beam_width=width, max_len=6)
         assert len(beam_decode(params, config, enc, decode)) == 6
-        assert calls == [(1, 1)] + [(width, t) for t in range(2, 7)]
+        assert calls == [(1,)] + [(width,)] * 5
 
     def test_empty_output_case_matches_greedy(self):
         params, config = random_model(3)
@@ -113,10 +126,10 @@ class TestBeam:
                            DecodeConfig(strategy="beam", beam_width=4)) == []
 
 
-def seeded_and_eos_boosted(seed):
-    params, config = random_model(seed)
+def seeded_and_eos_boosted(seed, **model):
+    params, config = random_model(seed, **model)
     yield "seeded", params, config
-    params, config = random_model(seed)
+    params, config = random_model(seed, **model)
     params.out_proj.values *= 2.5          # sharpened, as in test_beam_score_at_least_greedy
     params.out_bias.values[EOS_ID] += 2.0
     yield "eos_boosted", params, config
@@ -160,6 +173,13 @@ class TestMatchesReference:
     def test_token_identical_under_ties(self, seed):
         self.check(seed, tied(seed))
 
+    @pytest.mark.parametrize("variant", ["trrgen_concat", "trrgen_order"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_token_identical_two_layers(self, seed, variant):
+        """A second layer and prepended ⟨cat⟩/⟨r⟩ slots, which a cache read
+        from the wrong layer or missing an encoder slot would get wrong."""
+        self.check(seed, seeded_and_eos_boosted(seed, n_layers=2, variant=variant))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_teacher_forced_score(self, seed):
         """One decoder pass over ⟨sos⟩ + tokens scores them as the per-prefix
@@ -177,7 +197,7 @@ class TestMatchesReference:
     def test_max_len_above_cap_rejected_before_decoding(self, monkeypatch):
         params, config = random_model(0)
         enc = enc_for(params, config)
-        monkeypatch.setattr("trrgen.generation.decoder_forward", None)
+        monkeypatch.setattr("trrgen.generation.decoder_step", None)
         for decode in (DecodeConfig(max_len=config.max_tgt_len),
                        DecodeConfig(strategy="beam", max_len=500)):
             with pytest.raises(M.ConfigError, match="max_len"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trrgen import model as M
-from trrgen.corpus import EncodedRecord
+from trrgen.corpus import EncodedRecord, SOS_ID
 from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax, sum_all
 
 from attention_reference import per_head_attention, per_head_weights
@@ -387,6 +387,38 @@ class TestDecoder:
         la = M.decoder_forward([2, 10], enc_a, params, tiny_config).values
         lb = M.decoder_forward([2, 10], enc_b, params, tiny_config).values
         np.testing.assert_allclose(la, lb, atol=1e-12)
+
+
+class TestDecoderStep:
+    """The cached one-position step against `decoder_forward` over whole prefixes."""
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_last_row_of_full_prefix(self, variant, n_layers):
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=0.0,
+                               fusion_variant=variant, seed=n_layers)
+        params = M.init_parameters(config)
+        enc = M.encode_review(EncodedRecord([10, 11, 12], [2, 3], 4, 9), params, config)
+        rng = np.random.default_rng(n_layers)
+        for width in range(1, 6):
+            cache = M.init_decoder_cache(enc, params, config)
+            prefixes = np.full((1, 1), SOS_ID)
+            for pos in range(config.max_tgt_len):
+                got = M.decoder_step(prefixes[:, -1], cache, params, config)
+                want = M.decoder_forward(prefixes, enc, params, config).values[:, -1]
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12, (width, pos)
+                # the next hypotheses descend from random rows, so parents
+                # repeat and drop out as they do under beam selection
+                rows = rng.integers(0, len(prefixes), width)
+                if (width, pos) == (3, 1):
+                    rows = [0, 0, 2]
+                cache.select(rows)
+                prefixes = np.concatenate([prefixes[rows], rng.integers(0, 20, (width, 1))],
+                                          axis=1)
+            with pytest.raises(M.ConfigError, match="max_tgt_len"):
+                M.decoder_step(prefixes[:, -1], cache, params, config)
 
 
 class TestForwardTraining:

@@ -12,12 +12,15 @@ from pathlib import Path
 TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
-def test_only_the_deleted_greedy_decode_hook_is_skipped():
+def test_only_the_deleted_decode_hooks_are_skipped():
+    """`generation` no longer calls `greedy_decode` or `decoder_forward`; the
+    model's own `decoder_forward` hook stays, as training still runs it."""
     module = types.ModuleType("tracer")
     exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
     tracer = module.Tracer()
     tracer.install()
     try:
-        assert tracer.skipped == ["trrgen.generation.greedy_decode"]
+        assert tracer.skipped == ["trrgen.generation.decoder_forward",
+                                  "trrgen.generation.greedy_decode"]
     finally:
         tracer.uninstall()
