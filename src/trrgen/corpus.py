@@ -54,8 +54,8 @@ class ReviewRecord:
         if type(self.rating) is not int or not 1 <= self.rating <= 5:
             raise CorpusError(f"{where}: rating must be an integer in [1,5], "
                               f"got {self.rating!r}")
-        if not self.review_text.strip():
-            raise CorpusError(f"{where}: empty review text")
+        if not tokenize(self.review_text):  # blank, or only ⟨ and ⟩, as in "⟨⟩"
+            raise CorpusError(f"{where}: review text has no tokens")
 
 
 @dataclass

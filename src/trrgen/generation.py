@@ -5,11 +5,11 @@ log-probabilities: "beam" at `beam_width`, "greedy" at width 1, which picks
 the most probable token (ties broken by lowest token id) at each step. There
 is no sampling path.
 
-Decoding is incremental: the cross-attention keys and values of the review
-are computed once, and each step runs only the newest position of every live
-hypothesis against a cache of the earlier ones (`model.decoder_step`), so no
-step recomputes the prefix. Tests hold it to the per-prefix decoders of
-`tests/decode_reference.py`, which rerun `decoder_forward` on every prefix.
+Decoding is incremental: each step runs only the newest position of every
+live hypothesis against the review's key/value cache (`model.decoder_step`,
+the decoder core that training also runs), so no step recomputes the prefix.
+Tests hold it to the per-prefix decoders of `tests/decode_reference.py`, which
+rerun that file's reference decoder on every prefix.
 """
 
 from __future__ import annotations

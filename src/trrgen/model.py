@@ -4,6 +4,10 @@ The encoder input can fuse two review-level features into the token
 embeddings: the rating (added as a vector to every token) and the app
 category (prepended as an extra position or summed in), selected by
 `fusion_variant`. Sublayers use post-norm ordering: LayerNorm(x + f(x)).
+
+The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
+target through it from an empty key/value cache, and `decoder_step` one new
+position. `tests/decode_reference.py` keeps a reference decoder as the oracle.
 """
 
 from __future__ import annotations
@@ -181,14 +185,14 @@ def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
 # building blocks
 
 
-def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
-    """Sinusoidal positions: PE[pos, 2i] = sin(pos / 10000^(2i/d)),
-    PE[pos, 2i+1] = cos(pos / 10000^(2i/d))."""
+def positional_encoding(seq_len: int, d_model: int, start: int = 0) -> np.ndarray:
+    """Sinusoidal rows for positions start … start + seq_len − 1:
+    PE[pos, 2i] = sin(pos / 10000^(2i/d)), PE[pos, 2i+1] = cos(pos / 10000^(2i/d))."""
     if seq_len < 1:
         raise ConfigError("seq_len must be >= 1")
     if d_model % 2 != 0:
         raise ConfigError("d_model must be even")
-    pos = np.arange(seq_len, dtype=np.float64)[:, None]
+    pos = np.arange(start, start + seq_len, dtype=np.float64)[:, None]
     two_i = np.arange(0, d_model, 2, dtype=np.float64)
     angle = pos / np.power(10000.0, two_i / d_model)
     pe = np.empty((seq_len, d_model))
@@ -197,10 +201,10 @@ def positional_encoding(seq_len: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def causal_mask(n: int) -> np.ndarray:
-    mask = np.zeros((n, n))
-    mask[np.triu_indices(n, k=1)] = NEG_INF
-    return mask
+def causal_mask(n: int, start: int = 0) -> np.ndarray:
+    """Additive [n, start + n] mask: query i, at position start + i, sees the
+    keys at positions 0 … start + i."""
+    return np.triu(np.full((n, start + n), NEG_INF), k=start + 1)
 
 
 def _heads(x: Tensor, w: Tensor, d_k: int, tape: Tape | None, keys: bool = False) -> Tensor:
@@ -208,13 +212,15 @@ def _heads(x: Tensor, w: Tensor, d_k: int, tape: Tape | None, keys: bool = False
     return split_heads(matmul(x, w, tape), d_k, tape, keys)
 
 
-def _attend(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray,
+def _attend(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray | None,
             tape: Tape | None) -> tuple[Tensor, Tensor]:
     """softmax(Q Kᵀ / sqrt(d_k) + mask) V from [..., H, Tq, d_k] queries,
     [..., H, d_k, Tk] keys and [..., H, Tk, d_k] values, with heads merged to
-    [..., Tq, H*d_k], ready for Wo; also returns the [..., H, Tq, Tk] weights."""
-    scores = add(scale(matmul(q, k_t, tape), 1.0 / np.sqrt(q.values.shape[-1]), tape),
-                 mask, tape)
+    [..., Tq, H*d_k], ready for Wo; also returns the [..., H, Tq, Tk] weights.
+    A `None` mask masks nothing."""
+    scores = scale(matmul(q, k_t, tape), 1.0 / np.sqrt(q.values.shape[-1]), tape)
+    if mask is not None:
+        scores = add(scores, mask, tape)
     attn = softmax(scores, tape, axis=-1)
     return merge_heads(matmul(attn, v, tape), tape), attn
 
@@ -311,45 +317,16 @@ def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelCon
     return EncoderOutput(states=h, src_mask=src_mask)
 
 
-def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
-                    config: ModelConfig, tape: Tape | None = None,
-                    training: bool = False,
-                    rng: np.random.Generator | None = None) -> Tensor:
-    """Logits [..., T, V] from ⟨sos⟩-shifted targets [..., T]; causally masked
-    self-attention. Leading axes of the targets broadcast against those of
-    `enc`, so W prefixes of one review share its encoder states."""
-    t = np.shape(tgt_input_ids)[-1]
-    if t > config.max_tgt_len:
-        raise ConfigError(f"target length {t} exceeds max_tgt_len {config.max_tgt_len}")
-    d = config.d_model
-    h = add(embedding_lookup(params.embedding, tgt_input_ids, tape),
-            positional_encoding(t, d), tape)
-    h = dropout(h, config.dropout, training, tape, rng)
-    self_mask = causal_mask(t)
-    for layer in params.decoder:
-        z = multi_head_attention(h, h, self_mask, layer.self_attn, tape, config.d_k)
-        z = dropout(z, config.dropout, training, tape, rng)
-        h = sublayer_connect(h, z, layer.norm1, tape)
-        z = multi_head_attention(h, enc.states, enc.src_mask, layer.cross_attn, tape, config.d_k)
-        z = dropout(z, config.dropout, training, tape, rng)
-        h = sublayer_connect(h, z, layer.norm2, tape)
-        f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
-        h = sublayer_connect(h, f, layer.norm3, tape)
-    return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
-
-
 @dataclass
 class DecoderCache:
-    """Inference state for decoding one review, one row per live hypothesis.
-
-    Per decoder layer, `cross` holds the cross-attention keys [H, d_k, Tk] and
-    values [H, Tk, d_k] of the encoder states, computed once, and `self_kv`
-    the self-attention keys [W, H, d_k, t] and values [W, H, t, d_k] of the
-    `length` positions decoded so far."""
+    """Decoder state for one review after `length` positions. Per layer,
+    `cross` holds the cross-attention keys [H, d_k, Tk] and values [H, Tk, d_k]
+    of the encoder states, and `self_kv` the self-attention keys
+    [..., H, d_k, length] and values [..., H, length, d_k] of the positions
+    decoded so far (None before the first), a leading row per hypothesis."""
     cross: list[tuple[Tensor, Tensor]]
     src_mask: np.ndarray
-    positions: np.ndarray   # [max_tgt_len, d_model] positional rows
-    self_kv: list[tuple[np.ndarray, np.ndarray]]
+    self_kv: list[tuple[np.ndarray, np.ndarray] | None]
     length: int = 0
 
     def select(self, rows):
@@ -357,52 +334,68 @@ class DecoderCache:
         self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
 
 
-def init_decoder_cache(enc: EncoderOutput, params: Parameters,
-                       config: ModelConfig) -> DecoderCache:
-    """An empty cache with one hypothesis row, for decoding from the [Tk, d]
-    encoder states of one review."""
-    h, d_k = config.n_heads, config.d_k
-    cross = [(_heads(enc.states, a.wk, d_k, None, keys=True), _heads(enc.states, a.wv, d_k, None))
+def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
+                       tape: Tape | None = None) -> DecoderCache:
+    """An empty cache for decoding from the [Tk, d] encoder states of one
+    review: each layer's cross-attention keys and values, recorded on `tape`."""
+    cross = [(_heads(enc.states, a.wk, config.d_k, tape, keys=True),
+              _heads(enc.states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
-    empty = [(np.empty((1, h, d_k, 0)), np.empty((1, h, 0, d_k))) for _ in params.decoder]
-    return DecoderCache(cross, enc.src_mask,
-                        positional_encoding(config.max_tgt_len, config.d_model), empty)
+    return DecoderCache(cross, enc.src_mask, [None] * len(params.decoder))
+
+
+def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
+                      tape: Tape | None = None, training: bool = False,
+                      rng: np.random.Generator | None = None) -> Tensor:
+    """Logits [..., T, V] for T new tokens [..., T] at positions `cache.length`
+    … `cache.length` + T − 1, each attending causally to itself and every
+    cached position; the cache gains their self-attention keys and values.
+    Leading axes are hypotheses, broadcast against the cross-attention ones."""
+    t, start, d_k = np.shape(ids)[-1], cache.length, config.d_k
+    if start + t > config.max_tgt_len:
+        raise ConfigError(f"target length {start + t} exceeds max_tgt_len {config.max_tgt_len}")
+    h = add(embedding_lookup(params.embedding, ids, tape),
+            positional_encoding(t, config.d_model, start), tape)
+    h = dropout(h, config.dropout, training, tape, rng)
+    self_mask = causal_mask(t, start) if t > 1 else None  # one new position sees all
+    for i, layer in enumerate(params.decoder):
+        a = layer.self_attn
+        q, k_t, v = (_heads(h, a.wq, d_k, tape), _heads(h, a.wk, d_k, tape, keys=True),
+                     _heads(h, a.wv, d_k, tape))
+        if start:  # cached positions join as constants, so only a fresh cache takes a tape
+            k_t = Tensor(np.concatenate([cache.self_kv[i][0], k_t.values], axis=-1))
+            v = Tensor(np.concatenate([cache.self_kv[i][1], v.values], axis=-2))
+        cache.self_kv[i] = k_t.values, v.values
+        z = matmul(_attend(q, k_t, v, self_mask, tape)[0], a.wo, tape)
+        z = dropout(z, config.dropout, training, tape, rng)
+        h = sublayer_connect(h, z, layer.norm1, tape)
+        a = layer.cross_attn
+        z = _attend(_heads(h, a.wq, d_k, tape), *cache.cross[i], cache.src_mask, tape)[0]
+        z = dropout(matmul(z, a.wo, tape), config.dropout, training, tape, rng)
+        h = sublayer_connect(h, z, layer.norm2, tape)
+        f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
+        h = sublayer_connect(h, f, layer.norm3, tape)
+    cache.length += t
+    return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
+
+
+def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
+                    config: ModelConfig, tape: Tape | None = None, training: bool = False,
+                    rng: np.random.Generator | None = None) -> Tensor:
+    """Logits [..., T, V] from ⟨sos⟩-shifted targets [..., T]: all T positions
+    decoded at once from an empty cache, so self-attention is causal. Leading
+    axes of the targets broadcast against those of `enc`, so W prefixes of one
+    review share its encoder states."""
+    return _decode_positions(tgt_input_ids, init_decoder_cache(enc, params, config, tape),
+                             params, config, tape, training, rng)
 
 
 def decoder_step(tokens, cache: DecoderCache, params: Parameters,
                  config: ModelConfig) -> np.ndarray:
     """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
     at position `cache.length`: the last row of `decoder_forward` over each
-    hypothesis's prefix, computed for that one position against the cache,
-    which gains the position's self-attention keys and values.
-
-    Rows are hypotheses, so every position-wise product is one [W, d] matmul;
-    only self-attention splits them, as [W, H, 1, d_k] heads."""
-    pos = cache.length
-    if pos >= config.max_tgt_len:
-        raise ConfigError(f"target length {pos + 1} exceeds max_tgt_len {config.max_tgt_len}")
-    n, d_k = len(tokens), config.d_k
-
-    def heads(x, w, *shape):  # one position's x @ w as [W, H, *shape] heads
-        return matmul(x, w).values.reshape(n, config.n_heads, *shape)
-
-    h = add(embedding_lookup(params.embedding, tokens), cache.positions[pos])
-    for i, layer in enumerate(params.decoder):
-        a = layer.self_attn
-        k_t, v = cache.self_kv[i]
-        k_t = np.concatenate([k_t, heads(h, a.wk, d_k, 1)], axis=-1)
-        v = np.concatenate([v, heads(h, a.wv, 1, d_k)], axis=-2)
-        cache.self_kv[i] = k_t, v
-        # the newest position attends to every cached one, so nothing is masked
-        z, _ = _attend(Tensor(heads(h, a.wq, 1, d_k)), Tensor(k_t), Tensor(v), np.zeros(1), None)
-        h = sublayer_connect(h, matmul(Tensor(z.values.reshape(n, -1)), a.wo), layer.norm1, None)
-        # the W queries share the review's keys, so they are the query axis
-        a = layer.cross_attn
-        z, _ = _attend(_heads(h, a.wq, d_k, None), *cache.cross[i], cache.src_mask, None)
-        h = sublayer_connect(h, matmul(z, a.wo), layer.norm2, None)
-        h = sublayer_connect(h, feed_forward(h, layer.ffn, None), layer.norm3, None)
-    cache.length += 1
-    return add(matmul(h, params.out_proj), params.out_bias).values
+    hypothesis's prefix, computed for that one position against the cache."""
+    return _decode_positions(np.asarray(tokens)[:, None], cache, params, config).values[:, 0]
 
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,

@@ -110,14 +110,20 @@ def _record(tape: Tape | None, out: Tensor, grad_fn) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
-    """a @ b; operands of more than two axes are stacks of matrices."""
-    if a.values.shape[-1] != b.values.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.values.shape} x {b.values.shape}")
+    """a @ b; operands of more than two axes are stacks of matrices. Against
+    a 2-D `b`, the leading rows of `a` form one [N, k] @ [k, n] product."""
+    shape, bv = a.values.shape, b.values
+    if shape[-1] != bv.shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {shape} x {bv.shape}")
+    rows = bv.ndim == 2
+    av = a.values.reshape(-1, shape[-1]) if rows else a.values
+    out = av @ bv
 
     def bwd(g):
-        _accum(a, _unbroadcast(g @ b.values.swapaxes(-1, -2), a.values.shape))
-        _accum(b, _unbroadcast(a.values.swapaxes(-1, -2) @ g, b.values.shape))
-    return _record(tape, Tensor(a.values @ b.values), bwd)
+        g = g.reshape(out.shape)
+        _accum(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
+        _accum(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
+    return _record(tape, Tensor(out.reshape(*shape[:-1], bv.shape[1]) if rows else out), bwd)
 
 
 def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -166,10 +172,9 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     n = x.values.shape[-1]
     if gamma.values.shape[-1] != n or beta.values.shape[-1] != n:
         raise ValueError("layer_norm gamma/beta length must equal feature dimension")
-    mu = x.values.mean(axis=-1, keepdims=True)
-    var = x.values.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.values - mu) * inv
+    centered = x.values - x.values.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
 
     def bwd(g):
         _accum(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
@@ -198,12 +203,12 @@ def split_heads(x: Tensor, d_k: int, tape: Tape | None = None,
     """Column blocks of width `d_k` of a [..., T, H*d_k] tensor as an
     [..., H, T, d_k] stack, or with `keys` as [..., H, d_k, T], the right
     operand of Q Kᵀ."""
-    *lead, t, d = x.values.shape
-    n = len(lead)
-    axes = (*range(n), n + 1, n + 2, n) if keys else (*range(n), n + 1, n, n + 2)
-    out = Tensor(x.values.reshape(*lead, t, d // d_k, d_k).transpose(axes))
-    inverse = np.argsort(axes)
-    return _record(tape, out, lambda g: _accum(x, g.transpose(inverse).reshape(x.values.shape)))
+    heads = x.values.reshape(*x.values.shape[:-1], -1, d_k).swapaxes(-2, -3)
+
+    def bwd(g):
+        g = g.swapaxes(-1, -2) if keys else g
+        _accum(x, g.swapaxes(-2, -3).reshape(x.values.shape))
+    return _record(tape, Tensor(heads.swapaxes(-1, -2) if keys else heads), bwd)
 
 
 def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -1,19 +1,52 @@
-"""Per-prefix decoders kept as test oracles for `trrgen.generation`.
+"""Reference decoders kept as test oracles for `trrgen.model` and
+`trrgen.generation`.
 
-Each runs one full `decoder_forward` over every prefix it extends and keeps
-the last row, with no cache. `greedy_decode` appends the argmax token and
-`beam_decode` builds and sorts a Python list of (prefix, score, token)
-candidates each step. The library decodes one position per step from a
-key/value cache, in one vectorized beam loop, and tests require
-token-identical output. `hypothesis_score` sums per-prefix log-probabilities;
-it is the oracle for scoring a whole sequence in one teacher-forced pass
-(within 1e-12 relative error) and for comparing decoded hypotheses.
+`decoder_forward` is an independent teacher-forced decoder: every layer runs
+`multi_head_attention` over the whole target with a causal mask, so it shares
+no cache, mask or position code with `model._decode_positions`, the one
+decoder core that both `model.decoder_forward` and `model.decoder_step` run.
+
+The per-prefix decoders rerun that `decoder_forward` on every prefix they
+extend and keep the last row, with no cache. `greedy_decode` appends the
+argmax token and `beam_decode` builds and sorts a Python list of
+(prefix, score, token) candidates each step. The library decodes one
+position per step from a key/value cache, in one vectorized beam loop, and
+tests require token-identical output. `hypothesis_score` sums per-prefix
+log-probabilities; it is the oracle for scoring a whole sequence in one
+teacher-forced pass (within 1e-12 relative error) and for comparing decoded
+hypotheses.
 """
 
 import numpy as np
 
 from trrgen.corpus import SOS_ID, EOS_ID
-from trrgen.model import decoder_forward
+from trrgen.model import (ConfigError, causal_mask, feed_forward, multi_head_attention,
+                          positional_encoding, sublayer_connect)
+from trrgen.tensor import add, dropout, embedding_lookup, matmul
+
+
+def decoder_forward(tgt_input_ids, enc, params, config, tape=None, training=False,
+                    rng=None):
+    """Logits [..., T, V] from ⟨sos⟩-shifted targets [..., T], one
+    causally masked `multi_head_attention` per layer; same parameters, tape
+    entries and dropout draws as `model.decoder_forward`."""
+    t = np.shape(tgt_input_ids)[-1]
+    if t > config.max_tgt_len:
+        raise ConfigError(f"target length {t} exceeds max_tgt_len {config.max_tgt_len}")
+    h = add(embedding_lookup(params.embedding, tgt_input_ids, tape),
+            positional_encoding(t, config.d_model), tape)
+    h = dropout(h, config.dropout, training, tape, rng)
+    self_mask = causal_mask(t)
+    for layer in params.decoder:
+        z = multi_head_attention(h, h, self_mask, layer.self_attn, tape, config.d_k)
+        z = dropout(z, config.dropout, training, tape, rng)
+        h = sublayer_connect(h, z, layer.norm1, tape)
+        z = multi_head_attention(h, enc.states, enc.src_mask, layer.cross_attn, tape, config.d_k)
+        z = dropout(z, config.dropout, training, tape, rng)
+        h = sublayer_connect(h, z, layer.norm2, tape)
+        f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
+        h = sublayer_connect(h, f, layer.norm3, tape)
+    return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
 
 
 def _log_softmax(row: np.ndarray) -> np.ndarray:

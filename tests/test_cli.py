@@ -6,7 +6,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from trrgen import cli
 from trrgen.checkpoint import load_checkpoint
@@ -208,6 +208,33 @@ class TestTrainGenerateEvaluate:
             err = captured.err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {batch}:3: "), (bad, err)
             assert captured.out == "", bad
+
+    @pytest.mark.parametrize("review", ["⟨⟩", " ⟨ ⟩ "])
+    def test_review_without_tokens_is_one_error_line(self, session_checkpoint, corpus_file,
+                                                     tmp_path, capsys, review):
+        """"⟨⟩" is not blank, but it has no tokens for the encoder; every
+        command that reads a review rejects it before it trains or decodes."""
+        vocab, ckpt = tmp_path / "vocab.json", tmp_path / "model.ckpt"
+        assert run(["build-vocab", "--input", corpus_file, "--output", vocab]) == 0
+        capsys.readouterr()
+        line = json.dumps({"app_name": "a", "category": "TOOLS", "rating": 3,
+                           "review": review, "response": "thanks"}, ensure_ascii=False)
+        batch, test = tmp_path / "batch.jsonl", tmp_path / "test.jsonl"
+        good = json.dumps({"review": "love it", "rating": 5, "category": "GAME"})
+        batch.write_text(good + "\n" + line + "\n", encoding="utf-8")
+        test.write_text(line + "\n", encoding="utf-8")
+        checkpoint = ["--checkpoint", session_checkpoint]
+        for args, where in [(["generate", "--review", review, "--rating", 3,
+                              "--category", "TOOLS", *checkpoint], "input"),
+                            (["generate", "--batch", batch, *checkpoint], f"{batch}:2"),
+                            (["evaluate", "--test", test, *checkpoint], f"{test}:1"),
+                            (["train", "--train", corpus_file, "--valid", test, "--vocab", vocab,
+                              "--output", ckpt], f"{test}:1")]:
+            assert run(args) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [f"error: {where}: review text has no tokens"]
+            assert captured.out == ""
+        assert not ckpt.exists()
 
     def test_generate_max_len_above_model_limit_fails(self, trained, capsys):
         assert run(["generate", "--checkpoint", trained, "--review", "love it",
@@ -514,3 +541,60 @@ def test_any_batch_file_generates_or_is_one_error_line(session_checkpoint, lines
             errors = err.getvalue().splitlines()
             assert len(errors) == 1 and errors[0].startswith("error: "), errors
             assert "Traceback" not in err.getvalue()
+
+
+# Settings that `generate` and `evaluate` read; a flag for any other is rejected.
+RUN_KEYS = sorted(set(SETTINGS_AT_ORIGIN) - cli.MODEL_AND_TRAINING_KEYS)
+FLAG_TEXT = {"int": st.integers(-1, 6).map(str),
+             "float": st.sampled_from(["0", "0.5", "1", "2.5", "-1", "11", "1e400", "nan"]),
+             "str": st.sampled_from(["greedy", "beam", "vanilla", "sampling"]),
+             "bool": st.sampled_from(["true", "no", "1", "maybe"]),
+             "int | None": st.integers(-1, 6).map(str)}
+MALFORMED_TEXT = st.sampled_from(["", " ", "abc", "1.5", "0x10", "null", "-", "--x"]) | st.text(
+    max_size=5)
+
+
+def one_in_four(rare, common):
+    return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
+
+
+# Up to four settings flags; one value in four is malformed text, and the rest
+# are of the key's own type, valid or out of range.
+RUN_FLAGS = st.lists(st.sampled_from(RUN_KEYS).flatmap(lambda key: st.tuples(
+    st.just(cli._flag(key)), one_in_four(MALFORMED_TEXT, FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]]))),
+    max_size=4).map(dict)
+
+
+@pytest.fixture(scope="session")
+def held_out_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("held_out") / "test.jsonl"
+    write_jsonl(path, make_records(2, seed=5))
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["generate", "evaluate"]), RUN_FLAGS,
+       one_in_four(st.sampled_from(sorted(cli.MODEL_AND_TRAINING_KEYS)), st.none()))
+def test_any_settings_flags_run_or_are_one_error_line(session_checkpoint, held_out_corpus,
+                                                      command, flags, rejected):
+    """`generate` and `evaluate` with any settings flags, each value valid or
+    malformed, either exit 0 with output or exit 1 with a single `error:`
+    line and no traceback."""
+    args = [command, "--checkpoint", str(session_checkpoint)]
+    args += (["--review", "love this app", "--rating", "4", "--category", "TOOLS"]
+             if command == "generate" else ["--test", str(held_out_corpus)])
+    for flag, text in flags.items():
+        args += [flag, text]
+    if rejected is not None:
+        args += [cli._flag(rejected), "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    event(f"{command} exit {code}")
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == "" and rejected is None
+    else:
+        assert code == 1
+        errors = err.getvalue().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: "), errors
+        assert "Traceback" not in err.getvalue() and out.getvalue() == ""

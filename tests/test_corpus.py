@@ -4,7 +4,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trrgen import corpus as C
 
@@ -314,6 +314,23 @@ class TestLoadCorpus:
         records = C.load_corpus(path, "tsv")
         assert records[0].category == "TOOLS" and records[0].rating == 4
 
+    @pytest.mark.parametrize("review", ["⟨⟩", " ⟨ ⟩⟩ ", "\u00a0", "   "])
+    def test_review_without_tokens_rejected(self, tmp_path, review):
+        """A review must give the encoder at least one token; "⟨⟩" is not blank,
+        but no token pattern matches it."""
+        good = json.dumps({"app_name": "a", "category": "T", "rating": 3,
+                           "review": "fine", "response": "y"})
+        bad = json.dumps({"app_name": "a", "category": "T", "rating": 3,
+                          "review": review, "response": "y"}, ensure_ascii=False)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(C.CorpusError, match="^.*bad.jsonl:2: review text has no tokens$"):
+            C.load_corpus(path)
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"app\tT\t3\t{review}\ty\n", encoding="utf-8")
+        with pytest.raises(C.CorpusError, match="bad.tsv:1: review text has no tokens"):
+            C.load_corpus(path, "tsv")
+
 
 class TestSplitCorpus:
     def make(self, n):
@@ -361,6 +378,7 @@ JSONL_LINES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(JSONL_LINES)
+@example(json.dumps({"app_name": "a", "category": "T", "rating": 3, "review": "⟨⟩"}))
 def test_any_jsonl_line_loads_or_raises_corpus_error(line):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "corpus.jsonl")
@@ -374,3 +392,6 @@ def test_any_jsonl_line_loads_or_raises_corpus_error(line):
             assert len(records) == (1 if line.strip() else 0)
             for rec in records:
                 rec.validate()
+                # the encoder gets at least one review token
+                vocab = C.build_vocabulary([rec], min_freq=1)
+                assert C.encode_record(rec, vocab, C.PreprocessConfig()).src_ids

@@ -8,6 +8,7 @@ from trrgen.corpus import EncodedRecord, SOS_ID
 from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax, sum_all
 
 from attention_reference import per_head_attention, per_head_weights
+import decode_reference as ref
 
 
 def pe_oracle(seq_len, d_model):
@@ -44,6 +45,16 @@ class TestPositionalEncoding:
     def test_odd_d_model_rejected(self):
         with pytest.raises(M.ConfigError):
             M.positional_encoding(4, 5)
+
+    @pytest.mark.parametrize("start,seq_len,d_model",
+                             [(1, 1, 2), (1, 3, 8), (7, 1, 6), (59, 1, 256), (30, 34, 64)])
+    def test_start_offset_is_a_slice_of_the_full_table(self, start, seq_len, d_model):
+        """Rows for positions start … start + seq_len − 1, bitwise the rows of
+        the table from position 0, which `test_matches_oracle` pins."""
+        full = M.positional_encoding(start + seq_len, d_model)
+        got = M.positional_encoding(seq_len, d_model, start)
+        assert np.array_equal(got, full[start:])
+        np.testing.assert_allclose(got, pe_oracle(start + seq_len, d_model)[start:], atol=1e-12)
 
 
 class TestConfig:
@@ -170,6 +181,14 @@ class TestAttention:
         for w in weights:
             np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-6)
             assert np.all(w[np.triu_indices(6, k=1)] <= 1e-9)
+
+    @pytest.mark.parametrize("n,start", [(1, 0), (4, 0), (1, 5), (3, 2)])
+    def test_causal_mask_with_earlier_positions(self, n, start):
+        mask = M.causal_mask(n, start)
+        assert mask.shape == (n, start + n)
+        for i in range(n):
+            assert np.all(mask[i, :start + i + 1] == 0.0)
+            assert np.all(mask[i, start + i + 1:] == -np.inf)
 
     def test_mask_shape_mismatch(self, tiny_params):
         attn = tiny_params.encoder[0].self_attn
@@ -389,8 +408,54 @@ class TestDecoder:
         np.testing.assert_allclose(la, lb, atol=1e-12)
 
 
+class TestMatchesReferenceDecoder:
+    """The decoder core against the `multi_head_attention` decoder kept in
+    `tests/decode_reference.py`: teacher-forced training must record the same
+    tape and give bitwise the same loss and gradients."""
+
+    BATCH = [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
+             EncodedRecord([15, 16], [2, 17, 3], 5, 9),
+             EncodedRecord([12, 14, 16, 18, 19], [2, 5, 6, 7, 8, 9, 3], 6, 9)]
+
+    @staticmethod
+    def run(batch, config):
+        params = M.init_parameters(config)
+        tape = Tape()
+        loss = M.forward_training(batch, params, config, tape, np.random.default_rng(11))
+        tape.backward(loss)
+        return float(loss.values), len(tape), [(name, t.grad) for name, t in params.named()]
+
+    def check(self, batch, config, monkeypatch, tape_shorter_by=0):
+        loss, entries, grads = self.run(batch, config)
+        monkeypatch.setattr(M, "decoder_forward", ref.decoder_forward)
+        want_loss, want_entries, want_grads = self.run(batch, config)
+        assert loss == want_loss
+        assert entries == want_entries - tape_shorter_by
+        for (name, g), (_, want) in zip(grads, want_grads):
+            assert (g is None) == (want is None), name
+            assert g is None or np.array_equal(g, want), name
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_training_bitwise(self, variant, n_layers, p, monkeypatch):
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=p,
+                               fusion_variant=variant, seed=n_layers)
+        self.check(self.BATCH, config, monkeypatch)
+
+    def test_single_position_target_skips_the_mask(self, monkeypatch):
+        """An empty response gives a one-position target, which sees every
+        key, so the core adds no mask: one tape entry fewer per layer."""
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                               max_tgt_len=10, dropout=0.1)
+        batch = self.BATCH[:1] + [EncodedRecord([15, 16], [2, 3], 5, 9)]
+        self.check(batch, config, monkeypatch, tape_shorter_by=config.n_layers)
+
+
 class TestDecoderStep:
-    """The cached one-position step against `decoder_forward` over whole prefixes."""
+    """The cached one-position step against the reference decoder over whole
+    prefixes."""
 
     @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -406,7 +471,7 @@ class TestDecoderStep:
             prefixes = np.full((1, 1), SOS_ID)
             for pos in range(config.max_tgt_len):
                 got = M.decoder_step(prefixes[:, -1], cache, params, config)
-                want = M.decoder_forward(prefixes, enc, params, config).values[:, -1]
+                want = ref.decoder_forward(prefixes, enc, params, config).values[:, -1]
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-12, (width, pos)
                 # the next hypotheses descend from random rows, so parents

@@ -33,6 +33,27 @@ class TestMatmul:
         for i in range(3):
             np.testing.assert_allclose(out[i], a.values[i] @ b.values[i], rtol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), (2, 1, 3, 4)])
+    def test_leading_rows_against_a_matrix(self, shape):
+        """Against a 2-D right operand the leading rows form one product; the
+        result and both gradients are those of the stacked products, also
+        for a non-contiguous left operand."""
+        b, w = rand((4, 5), 2), rand((5, 1), 3)
+
+        def build(a):
+            tape = Tape()
+            return sum_all(matmul(softmax(matmul(a, b, tape), tape), w, tape), tape), tape
+        a = rand(shape, 1)
+        out = matmul(a, b).values
+        assert out.shape == (*shape[:-1], 5)
+        np.testing.assert_allclose(out, np.matmul(a.values, b.values), rtol=1e-13)
+        assert grad_check(lambda: build(a), [a, b, w]) <= 1e-6
+
+        strided = Tensor(np.asfortranarray(a.values))
+        loss, tape = build(strided)
+        tape.backward(loss)
+        np.testing.assert_allclose(strided.grad, a.grad, rtol=1e-13)
+
 
 class TestHeads:
     def test_split_blocks_and_merge_inverts(self):
