@@ -8,6 +8,14 @@ category (prepended as an extra position or summed in), selected by
 The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
 target through it from an empty key/value cache, and `decoder_step` one new
 position. `tests/decode_reference.py` keeps a reference decoder as the oracle.
+
+Training runs a batch as packed rows (`forward_training`): the fused inputs
+of all its reviews end to end, and all its targets end to end, with no
+padding. The embedding (`_embed_rows`), encoder (`_encoder_states`) and
+decoder cores take these row segments; position-wise work runs once over
+all rows, and attention runs per example on its own rows. The output layer
+and loss are one `linear_cross_entropy`. `tests/training_reference.py`
+keeps the per-example pass as the oracle.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from functools import partial
 import numpy as np
 
 from .tensor import (Tensor, Tape, matmul, add, scale, relu, softmax, layer_norm,
-                     concat_rows, split_heads, merge_heads, embedding_lookup, dropout,
-                     cross_entropy_logits)
+                     concat_rows, split_rows, split_heads, merge_heads, embedding_lookup,
+                     dropout, linear_cross_entropy)
+# Not called here; the benchmark's tracer hooks it under this module's name.
+from .tensor import cross_entropy_logits  # noqa: F401
 from .corpus import EncodedRecord
 
 FUSION_VARIANTS = ("vanilla", "rating_only", "category_only",
@@ -132,8 +142,9 @@ class Parameters:
 
 @dataclass
 class EncoderOutput:
-    states: Tensor          # [..., fused length, d_model]
-    src_mask: np.ndarray    # additive key mask (0 or -inf), broadcast onto the scores
+    states: Tensor          # [..., fused length, d_model], or packed [Σ rows, d_model]
+    src_mask: np.ndarray | None  # additive key mask (0 or -inf), broadcast onto the scores
+    rows: np.ndarray | None = None  # packed reviews' counts of rows
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +226,14 @@ def _heads(x: Tensor, w: Tensor, d_k: int, tape: Tape | None, keys: bool = False
 def _attend(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray | None,
             tape: Tape | None) -> tuple[Tensor, Tensor]:
     """softmax(Q Kᵀ / sqrt(d_k) + mask) V from [..., H, Tq, d_k] queries,
-    [..., H, d_k, Tk] keys and [..., H, Tk, d_k] values, with heads merged to
-    [..., Tq, H*d_k], ready for Wo; also returns the [..., H, Tq, Tk] weights.
-    A `None` mask masks nothing."""
+    [..., H, d_k, Tk] keys and [..., H, Tk, d_k] values, as [..., H, Tq, d_k]
+    heads; also returns the [..., H, Tq, Tk] weights. A `None` mask masks
+    nothing."""
     scores = scale(matmul(q, k_t, tape), 1.0 / np.sqrt(q.values.shape[-1]), tape)
     if mask is not None:
         scores = add(scores, mask, tape)
     attn = softmax(scores, tape, axis=-1)
-    return merge_heads(matmul(attn, v, tape), tape), attn
+    return matmul(attn, v, tape), attn
 
 
 def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
@@ -239,7 +250,7 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
         raise ConfigError(f"mask shape {mask.shape} does not broadcast to {(tq, tk)}")
     z, attn = _attend(_heads(x_q, p.wq, d_k, tape), _heads(x_kv, p.wk, d_k, tape, keys=True),
                       _heads(x_kv, p.wv, d_k, tape), mask, tape)
-    z = matmul(z, p.wo, tape)
+    z = matmul(merge_heads(z, tape), p.wo, tape)
     if return_weights:
         return z, attn.values
     return z
@@ -256,6 +267,48 @@ def sublayer_connect(x: Tensor, fx: Tensor, norm: NormParams, tape: Tape | None)
 
 # ---------------------------------------------------------------------------
 # embedding fusion
+
+
+def _positions(lengths: np.ndarray) -> np.ndarray:
+    """Index of each row within its segment, for segments of `lengths` rows
+    end to end."""
+    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+
+# Prepended feature slots per variant, in encoder input order.
+_FEATURE_SLOTS = {"category_only": ("category",), "trrgen_concat": ("category",),
+                  "trrgen_order": ("category", "rating")}
+
+
+def _embed_rows(src_ids: np.ndarray, lengths: np.ndarray, rating_ids: np.ndarray,
+                category_ids: np.ndarray, variant: str, params: Parameters,
+                tape: Tape | None, shape: tuple) -> Tensor:
+    """Encoder inputs of reviews whose token ids lie end to end in `src_ids`,
+    `lengths[j]` of them for review j, as `embed_review` defines them: every
+    token row at once, then one gather that puts each review's feature slots
+    ahead of its tokens, through an index array of `shape`."""
+    if variant not in FUSION_VARIANTS:
+        raise ConfigError(f"unknown fusion_variant {variant!r}")
+    if lengths.min(initial=1) < 1:
+        raise ConfigError("every review needs at least one token")
+    d = params.embedding.values.shape[1]
+    review, pos = np.repeat(np.arange(len(lengths)), lengths), _positions(lengths)
+    x = embedding_lookup(params.embedding, src_ids, tape)
+    if variant in ("rating_only", "trrgen_concat", "trrgen_sum"):
+        x = add(x, embedding_lookup(params.embedding, rating_ids[review], tape), tape)
+    if variant == "trrgen_sum":
+        x = add(x, embedding_lookup(params.embedding, category_ids[review], tape), tape)
+    x = add(x, positional_encoding(int(lengths.max(initial=1)), d)[pos], tape)
+
+    ids = {"category": category_ids, "rating": rating_ids}
+    slots = [ids[slot] for slot in _FEATURE_SLOTS.get(variant, ())]
+    order = len(slots) * len(lengths) + np.arange(len(src_ids))  # after the feature rows
+    if slots:
+        features = np.stack(slots, axis=1).reshape(-1)  # review by review, in slot order
+        x = concat_rows([embedding_lookup(params.embedding, features, tape), x], tape)
+        token_starts = np.cumsum(lengths) - lengths
+        order = np.insert(order, np.repeat(token_starts, len(slots)), np.arange(features.size))
+    return embedding_lookup(x, order.reshape(shape), tape)
 
 
 def embed_review(src_ids, rating_id: int | np.ndarray, category_id: int | np.ndarray,
@@ -276,30 +329,53 @@ def embed_review(src_ids, rating_id: int | np.ndarray, category_id: int | np.nda
     [..., n]; the rating and category ids are scalars or arrays that broadcast
     to its leading axes, and the result is [..., fused length, d_model].
     """
-    if variant not in FUSION_VARIANTS:
-        raise ConfigError(f"unknown fusion_variant {variant!r}")
-    *lead, n = np.shape(src_ids)
-    d = params.embedding.values.shape[1]
-
-    def feature(ids):  # one [..., 1, d] row per review
-        return embedding_lookup(params.embedding, np.broadcast_to(ids, lead)[..., None], tape)
-
-    x = embedding_lookup(params.embedding, src_ids, tape)
-    if variant in ("rating_only", "trrgen_concat", "trrgen_sum"):
-        x = add(x, feature(rating_id), tape)
-    if variant == "trrgen_sum":
-        x = add(x, feature(category_id), tape)
-    x = add(x, positional_encoding(n, d), tape)
-
-    if variant in ("category_only", "trrgen_concat"):
-        return concat_rows([feature(category_id), x], tape)
-    if variant == "trrgen_order":
-        return concat_rows([feature(category_id), feature(rating_id), x], tape)
-    return x
+    src_ids = np.asarray(src_ids, dtype=np.int64)
+    *lead, n = src_ids.shape
+    fused = n + len(_FEATURE_SLOTS.get(variant, ()))
+    reviews = int(np.prod(lead, dtype=np.int64))
+    return _embed_rows(src_ids.reshape(-1), np.full(reviews, n),
+                       np.broadcast_to(rating_id, lead).reshape(-1),
+                       np.broadcast_to(category_id, lead).reshape(-1),
+                       variant, params, tape, (*lead, fused))
 
 
 # ---------------------------------------------------------------------------
 # encoder / decoder
+
+
+def _attention(q: Tensor, k_t: Tensor, v: Tensor, masks: list, tape: Tape | None,
+               q_rows: np.ndarray | None = None, kv_rows: np.ndarray | None = None) -> Tensor:
+    """`_attend` with heads merged, ready for Wo. Without row lengths the
+    whole stacks attend under `masks[0]`. With them, queries and keys are
+    packed segments: query segment j attends only to key segment j, under
+    `masks[j]`."""
+    if q_rows is None:
+        return merge_heads(_attend(q, k_t, v, masks[0], tape)[0], tape)
+
+    def split(x, rows, axis=-2):
+        return split_rows(x, np.cumsum(rows)[:-1], tape, axis)
+    parts = [_attend(q_j, k_j, v_j, mask, tape)[0] for q_j, k_j, v_j, mask in
+             zip(split(q, q_rows), split(k_t, kv_rows, axis=-1), split(v, kv_rows), masks)]
+    return merge_heads(concat_rows(parts, tape), tape)
+
+
+def _encoder_states(x: Tensor, src_mask: np.ndarray | None, rows: np.ndarray | None,
+                    params: Parameters, config: ModelConfig, tape: Tape | None,
+                    training: bool, rng) -> Tensor:
+    """The encoder stack over [..., n, d] inputs, or over the packed rows of
+    reviews `rows[j]` rows long each, which attend only within their review."""
+    d_k = config.d_k
+    masks = [src_mask] if rows is None else [None] * len(rows)
+    h = dropout(x, config.dropout, training, tape, rng)
+    for layer in params.encoder:
+        a = layer.self_attn
+        z = _attention(_heads(h, a.wq, d_k, tape), _heads(h, a.wk, d_k, tape, keys=True),
+                       _heads(h, a.wv, d_k, tape), masks, tape, rows, rows)
+        z = dropout(matmul(z, a.wo, tape), config.dropout, training, tape, rng)
+        h = sublayer_connect(h, z, layer.norm1, tape)
+        f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
+        h = sublayer_connect(h, f, layer.norm2, tape)
+    return h
 
 
 def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelConfig,
@@ -307,14 +383,8 @@ def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelCon
            rng: np.random.Generator | None = None) -> EncoderOutput:
     """Encoder states for [..., n, d] inputs; `src_mask` is an additive key
     mask that broadcasts onto the [..., H, n, n] attention scores."""
-    h = dropout(x, config.dropout, training, tape, rng)
-    for layer in params.encoder:
-        z = multi_head_attention(h, h, src_mask, layer.self_attn, tape, config.d_k)
-        z = dropout(z, config.dropout, training, tape, rng)
-        h = sublayer_connect(h, z, layer.norm1, tape)
-        f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
-        h = sublayer_connect(h, f, layer.norm2, tape)
-    return EncoderOutput(states=h, src_mask=src_mask)
+    return EncoderOutput(_encoder_states(x, src_mask, None, params, config, tape, training, rng),
+                         src_mask)
 
 
 @dataclass
@@ -323,11 +393,13 @@ class DecoderCache:
     `cross` holds the cross-attention keys [H, d_k, Tk] and values [H, Tk, d_k]
     of the encoder states, and `self_kv` the self-attention keys
     [..., H, d_k, length] and values [..., H, length, d_k] of the positions
-    decoded so far (None before the first), a leading row per hypothesis."""
+    decoded so far (None before the first), a leading row per hypothesis.
+    For packed reviews, `src_rows` holds each review's count of encoder rows."""
     cross: list[tuple[Tensor, Tensor]]
-    src_mask: np.ndarray
+    src_mask: np.ndarray | None
     self_kv: list[tuple[np.ndarray, np.ndarray] | None]
     length: int = 0
+    src_rows: np.ndarray | None = None
 
     def select(self, rows):
         """Keep the hypotheses at `rows`, in that order; a row may repeat."""
@@ -337,27 +409,37 @@ class DecoderCache:
 def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
                        tape: Tape | None = None) -> DecoderCache:
     """An empty cache for decoding from the [Tk, d] encoder states of one
-    review: each layer's cross-attention keys and values, recorded on `tape`."""
+    review, or the packed ones of several: each layer's cross-attention keys
+    and values, recorded on `tape`."""
     cross = [(_heads(enc.states, a.wk, config.d_k, tape, keys=True),
               _heads(enc.states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
-    return DecoderCache(cross, enc.src_mask, [None] * len(params.decoder))
+    return DecoderCache(cross, enc.src_mask, [None] * len(params.decoder), src_rows=enc.rows)
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
                       tape: Tape | None = None, training: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
-    """Logits [..., T, V] for T new tokens [..., T] at positions `cache.length`
-    … `cache.length` + T − 1, each attending causally to itself and every
-    cached position; the cache gains their self-attention keys and values.
-    Leading axes are hypotheses, broadcast against the cross-attention ones."""
+                      rng: np.random.Generator | None = None,
+                      rows: np.ndarray | None = None) -> Tensor:
+    """Final hidden states [..., T, d] for T new tokens [..., T] at positions
+    `cache.length` … `cache.length` + T − 1, each attending causally to itself
+    and every cached position; the cache gains their self-attention keys and
+    values. Leading axes are hypotheses, broadcast against the cross-attention
+    ones. With `rows`, the 1-D `ids` are the targets of the packed reviews of
+    a fresh cache, `rows[j]` of them for review j, from position 0 each; a
+    target attends only to itself and to its own review."""
     t, start, d_k = np.shape(ids)[-1], cache.length, config.d_k
-    if start + t > config.max_tgt_len:
-        raise ConfigError(f"target length {start + t} exceeds max_tgt_len {config.max_tgt_len}")
+    lengths = [t] if rows is None else rows.tolist()
+    if start + max(lengths) > config.max_tgt_len:
+        raise ConfigError(f"target length {start + max(lengths)} exceeds "
+                          f"max_tgt_len {config.max_tgt_len}")
+    pe = positional_encoding(max(lengths), config.d_model, start)
     h = add(embedding_lookup(params.embedding, ids, tape),
-            positional_encoding(t, config.d_model, start), tape)
+            pe if rows is None else pe[_positions(rows)], tape)
     h = dropout(h, config.dropout, training, tape, rng)
-    self_mask = causal_mask(t, start) if t > 1 else None  # one new position sees all
+    # one new position sees every key, so it needs no mask
+    self_masks = [causal_mask(n, start) if n > 1 else None for n in lengths]
+    cross_masks = [cache.src_mask] if rows is None else [None] * len(rows)
     for i, layer in enumerate(params.decoder):
         a = layer.self_attn
         q, k_t, v = (_heads(h, a.wq, d_k, tape), _heads(h, a.wk, d_k, tape, keys=True),
@@ -366,16 +448,22 @@ def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: Mode
             k_t = Tensor(np.concatenate([cache.self_kv[i][0], k_t.values], axis=-1))
             v = Tensor(np.concatenate([cache.self_kv[i][1], v.values], axis=-2))
         cache.self_kv[i] = k_t.values, v.values
-        z = matmul(_attend(q, k_t, v, self_mask, tape)[0], a.wo, tape)
-        z = dropout(z, config.dropout, training, tape, rng)
+        z = _attention(q, k_t, v, self_masks, tape, rows, rows)
+        z = dropout(matmul(z, a.wo, tape), config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm1, tape)
         a = layer.cross_attn
-        z = _attend(_heads(h, a.wq, d_k, tape), *cache.cross[i], cache.src_mask, tape)[0]
+        z = _attention(_heads(h, a.wq, d_k, tape), *cache.cross[i], cross_masks, tape,
+                       rows, cache.src_rows)
         z = dropout(matmul(z, a.wo, tape), config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm2, tape)
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
         h = sublayer_connect(h, f, layer.norm3, tape)
-    cache.length += t
+    if rows is None:  # packed targets leave nothing to decode on from
+        cache.length += t
+    return h
+
+
+def _logits(h: Tensor, params: Parameters, tape: Tape | None = None) -> Tensor:
     return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
 
 
@@ -386,8 +474,9 @@ def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
     decoded at once from an empty cache, so self-attention is causal. Leading
     axes of the targets broadcast against those of `enc`, so W prefixes of one
     review share its encoder states."""
-    return _decode_positions(tgt_input_ids, init_decoder_cache(enc, params, config, tape),
-                             params, config, tape, training, rng)
+    cache = init_decoder_cache(enc, params, config, tape)
+    return _logits(_decode_positions(tgt_input_ids, cache, params, config, tape, training, rng),
+                   params, tape)
 
 
 def decoder_step(tokens, cache: DecoderCache, params: Parameters,
@@ -395,7 +484,8 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
     """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
     at position `cache.length`: the last row of `decoder_forward` over each
     hypothesis's prefix, computed for that one position against the cache."""
-    return _decode_positions(np.asarray(tokens)[:, None], cache, params, config).values[:, 0]
+    h = _decode_positions(np.asarray(tokens)[:, None], cache, params, config)
+    return _logits(h, params).values[:, 0]
 
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,
@@ -408,26 +498,71 @@ def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,
     return encode(x, src_mask, params, config, tape, training, rng)
 
 
+class _PackedDraws:
+    """Stands in for the dropout generator of a packed batch: `random`
+    returns the next of the uniform arrays drawn in advance."""
+
+    def __init__(self, arrays: list[np.ndarray]):
+        self._arrays = arrays[::-1]
+
+    def random(self, shape):
+        u = self._arrays.pop()
+        if u.shape != tuple(shape):
+            raise ValueError(f"dropout draw of shape {tuple(shape)}, drawn {u.shape}")
+        return u
+
+
+def _draw_packed(rng: np.random.Generator, src_rows: np.ndarray, tgt_rows: np.ndarray,
+                 config: ModelConfig) -> _PackedDraws:
+    """Every dropout mask's uniforms for a packed batch, drawn in the order
+    of examples processed one at a time: for each example, its 1 + 2L encoder
+    masks [n_e, d], then its 1 + 3L decoder masks [t_e, d]. Each lands in
+    that example's rows of the packed array its dropout site reads."""
+    n_layers, d = config.n_layers, config.d_model
+    enc = [np.empty((src_rows.sum(), d)) for _ in range(1 + 2 * n_layers)]
+    dec = [np.empty((tgt_rows.sum(), d)) for _ in range(1 + 3 * n_layers)]
+    src_starts, tgt_starts = np.cumsum(src_rows) - src_rows, np.cumsum(tgt_rows) - tgt_rows
+    for s, n_s, t, n_t in zip(src_starts, src_rows, tgt_starts, tgt_rows):
+        for u in enc:
+            rng.random(out=u[s:s + n_s])
+        for u in dec:
+            rng.random(out=u[t:t + n_t])
+    return _PackedDraws(enc + dec)
+
+
 def forward_training(batch: list[EncodedRecord], params: Parameters,
                      config: ModelConfig, tape: Tape | None = None,
                      rng: np.random.Generator | None = None):
     """Teacher-forced loss over a batch: mean NLL over all target positions.
 
-    Examples are processed individually, so no padding positions enter the
-    loss.
+    The batch runs as packed rows with no padding: every review's encoder
+    rows end to end, and every target's rows end to end. Position-wise work
+    runs once over all rows, attention per example on its rows, and the
+    output layer and loss are one `linear_cross_entropy`. Dropout masks are
+    drawn from `rng` in the order of a per-example pass.
     """
     if not batch:
         raise ValueError("empty batch")
     training = rng is not None
-    total = None
-    count = 0
-    for rec in batch:
-        enc = encode_review(rec, params, config, tape, training, rng)
-        logits = decoder_forward(rec.tgt_ids[:-1], enc, params, config, tape, training, rng)
-        ce = cross_entropy_logits(logits, rec.tgt_ids[1:], tape=tape, reduction="sum")
-        total = ce if total is None else add(total, ce, tape)
-        count += len(rec.tgt_ids) - 1
-    loss = scale(total, 1.0 / count, tape)
+    src = [np.asarray(r.src_ids, dtype=np.int64) for r in batch]
+    tgt = [np.asarray(r.tgt_ids, dtype=np.int64) for r in batch]
+    src_lengths = np.array([len(s) for s in src])
+    tgt_rows = np.array([len(t) - 1 for t in tgt])
+    src_rows = src_lengths + len(_FEATURE_SLOTS.get(config.fusion_variant, ()))
+    x = _embed_rows(np.concatenate(src), src_lengths,
+                    np.array([r.rating_id for r in batch]),
+                    np.array([r.category_id for r in batch]),
+                    config.fusion_variant, params, tape, (src_rows.sum(),))
+    if training and config.dropout > 0.0:
+        rng = _draw_packed(rng, src_rows, tgt_rows, config)
+    states = _encoder_states(x, None, src_rows, params, config, tape, training, rng)
+    cache = init_decoder_cache(EncoderOutput(states, src_mask=None, rows=src_rows),
+                               params, config, tape)
+    h = _decode_positions(np.concatenate([t[:-1] for t in tgt]), cache, params, config,
+                          tape, training, rng, tgt_rows)
+    total = linear_cross_entropy(h, params.out_proj, params.out_bias,
+                                 np.concatenate([t[1:] for t in tgt]), tape)
+    loss = scale(total, 1.0 / tgt_rows.sum(), tape)
     if not np.isfinite(loss.values):
         raise FloatingPointError("non-finite training loss")
     return loss

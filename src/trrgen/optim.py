@@ -1,4 +1,5 @@
-"""Adam optimizer over lists of tensors."""
+"""Adam optimizer over lists of tensors, updating moments and parameters in
+place."""
 
 from __future__ import annotations
 
@@ -22,18 +23,32 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState):
-    """One Adam update with bias correction; missing grads are treated as zero."""
+    """One Adam update with bias correction; missing grads are treated as zero.
+
+    The moments and parameters are updated in place, through two temporary
+    arrays per tensor, with the arithmetic of m ← b1·m + (1 − b1)·g,
+    v ← b2·v + (1 − b2)·g·g and p ← p − lr·(m/bc1) / (√(v/bc2) + eps) in that
+    order, so the result is bitwise the allocating update's."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for i, p in enumerate(params):
+    for p, m, v in zip(params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.values)
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= b1
+        tmp = np.multiply(g, 1.0 - b1)
+        m += tmp
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step = np.divide(m, bc1)
+        step *= state.lr
+        step /= tmp
+        p.values -= step
 
 
 def zero_grads(params: list[Tensor]):

@@ -9,6 +9,12 @@ Every primitive records its backward rule through one helper, `_record`, and
 takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
 run the same code. Backward frees each intermediate gradient once its entry
 has run, so only leaves such as parameters keep `.grad` afterwards.
+
+Packed rows, several sequences end to end along the row axis, are cut into
+per-sequence views by `split_rows` and joined again by `concat_rows`.
+`linear_cross_entropy` is the output layer and its loss in one primitive: a
+single [N, V] buffer holds the logits, then the probabilities, then the
+gradient of the logits, and no logits tensor is kept on the tape.
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ __all__ = [
     "softmax",
     "layer_norm",
     "concat_rows",
+    "split_rows",
     "split_heads",
     "merge_heads",
     "embedding_lookup",
     "dropout",
     "cross_entropy_logits",
+    "linear_cross_entropy",
     "sum_all",
     "grad_check",
 ]
@@ -55,6 +63,16 @@ def _accum(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = np.zeros_like(t.values)
     t.grad += g
+
+
+def _accum_owned(t: Tensor, g: np.ndarray):
+    """`_accum` for a `g` that nothing else reads or writes afterwards, such
+    as a fresh product: it becomes the gradient when there is none yet, with
+    no zero-filled copy."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -121,8 +139,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     def bwd(g):
         g = g.reshape(out.shape)
-        _accum(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
-        _accum(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
+        _accum_owned(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
+        _accum_owned(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
     return _record(tape, Tensor(out.reshape(*shape[:-1], bv.shape[1]) if rows else out), bwd)
 
 
@@ -134,20 +152,20 @@ def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
     if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
 
-    def bwd(g):
-        _accum(a, g)
+    def bwd(g):  # `a` takes `g` itself, so `b` gets a copy
+        _accum_owned(a, g)
         if isinstance(b, Tensor):
             _accum(b, _unbroadcast(g, bv.shape))
     return _record(tape, Tensor(av + bv), bwd)
 
 
 def scale(a: Tensor, s: float, tape: Tape | None = None) -> Tensor:
-    return _record(tape, Tensor(a.values * s), lambda g: _accum(a, g * s))
+    return _record(tape, Tensor(a.values * s), lambda g: _accum_owned(a, g * s))
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
     return _record(tape, Tensor(np.maximum(a.values, 0.0)),
-                   lambda g: _accum(a, g * (a.values > 0)))
+                   lambda g: _accum_owned(a, g * (a.values > 0)))
 
 
 def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
@@ -161,7 +179,7 @@ def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
     return _record(tape, Tensor(y),
-                   lambda g: _accum(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y))
+                   lambda g: _accum_owned(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -177,11 +195,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     xhat = centered * inv
 
     def bwd(g):
-        _accum(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        _accum(beta, g.sum(axis=tuple(range(g.ndim - 1))))
+        _accum_owned(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+        _accum_owned(beta, g.sum(axis=tuple(range(g.ndim - 1))))
         gx = g * gamma.values
-        _accum(x, (gx - gx.mean(axis=-1, keepdims=True)
-                   - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
+        _accum_owned(x, (gx - gx.mean(axis=-1, keepdims=True)
+                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
     return _record(tape, Tensor(xhat * gamma.values + beta.values), bwd)
 
 
@@ -196,6 +214,22 @@ def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
         for p, gp in zip(parts, np.split(g, ends, axis=-2)):
             _accum(p, gp)
     return _record(tape, Tensor(np.concatenate([p.values for p in parts], axis=-2)), bwd)
+
+
+def split_rows(x: Tensor, ends, tape: Tape | None = None, axis: int = -2) -> list[Tensor]:
+    """Inverse of `concat_rows`: views of the blocks of `x` along `axis` (the
+    row axis by default) that end before each of `ends` and at the end. One
+    tape entry gives every block's gradient back to `x`; a block that
+    received none contributes zeros."""
+    parts = [Tensor(p) for p in np.split(x.values, ends, axis=axis)]
+    if tape is not None:
+        def bwd():
+            grads = [np.zeros_like(p.values) if p.grad is None else p.grad for p in parts]
+            for p in parts:
+                p.grad = None
+            _accum_owned(x, np.concatenate(grads, axis=axis))
+        tape.record(bwd)
+    return parts
 
 
 def split_heads(x: Tensor, d_k: int, tape: Tape | None = None,
@@ -241,7 +275,7 @@ def dropout(x: Tensor, p: float, training: bool,
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
     keep = (rng.random(x.values.shape) >= p) / (1.0 - p)
-    return _record(tape, Tensor(x.values * keep), lambda g: _accum(x, g * keep))
+    return _record(tape, Tensor(x.values * keep), lambda g: _accum_owned(x, g * keep))
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -253,12 +287,15 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
                          tape: Tape | None = None, reduction: str = "mean") -> Tensor:
     """Negative log-softmax probability of `targets`, averaged (or summed)
     over positions whose target is not `ignore_id`. Stable via log-sum-exp.
+    Other targets outside [0, V) are a ValueError.
     """
     targets = np.asarray(targets, dtype=np.int64)
     t_count, v = logits.values.shape
     if targets.shape != (t_count,):
         raise ValueError(f"targets length {targets.shape} does not match logits rows {t_count}")
     counted = targets != ignore_id
+    if np.any(counted & ((targets < 0) | (targets >= v))):
+        raise ValueError(f"target id out of range [0, {v})")
     n = int(counted.sum())
     if n == 0:
         raise ValueError("cross_entropy_logits: every position is ignored")
@@ -278,6 +315,45 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
         probs[~counted] = 0.0
         _accum(logits, probs * (float(g) / denom))
     return _record(tape, Tensor(total / denom), bwd)
+
+
+def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
+                         tape: Tape | None = None) -> Tensor:
+    """Summed negative log-softmax probability of `targets` [N] under the
+    logits h @ w + b, for [N, d] rows `h`, a [d, V] `w` and a [V] `b`.
+
+    The same value as `add(matmul(h, w), b)` followed by
+    `cross_entropy_logits(..., reduction="sum")`, from one GEMM into a single
+    [N, V] buffer: the bias is added and the softmax taken in place, and
+    backward turns it into the logits' gradient in place and writes dh, dw
+    and db from it. Targets outside [0, V) are a ValueError.
+    """
+    hv, wv = h.values, w.values
+    targets = np.asarray(targets, dtype=np.int64)
+    n, v = hv.shape[0], wv.shape[1]
+    if hv.ndim != 2 or targets.shape != (n,):
+        raise ValueError(f"linear_cross_entropy needs [N, d] rows and N targets, "
+                         f"got {hv.shape} and {targets.shape}")
+    if n and (targets.min() < 0 or targets.max() >= v):
+        raise ValueError(f"target id out of range [0, {v})")
+    rows = np.arange(n)
+    p = hv @ wv
+    p += b.values
+    picked = p[rows, targets]
+    m = p.max(axis=1, keepdims=True)
+    p -= m
+    np.exp(p, out=p)
+    s = p.sum(axis=1, keepdims=True)
+    p /= s
+    total = float((m[:, 0] + np.log(s[:, 0]) - picked).sum())
+
+    def bwd(g):
+        p[rows, targets] -= 1.0
+        np.multiply(p, float(g), out=p)
+        _accum_owned(h, p @ wv.T)
+        _accum_owned(w, hv.T @ p)
+        _accum_owned(b, p.sum(axis=0))
+    return _record(tape, Tensor(total), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -558,11 +558,15 @@ def one_in_four(rare, common):
     return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
 
 
-# Up to four settings flags; one value in four is malformed text, and the rest
-# are of the key's own type, valid or out of range.
-RUN_FLAGS = st.lists(st.sampled_from(RUN_KEYS).flatmap(lambda key: st.tuples(
-    st.just(cli._flag(key)), one_in_four(MALFORMED_TEXT, FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]]))),
-    max_size=4).map(dict)
+def settings_flags(keys):
+    """Up to four flags for `keys`; one value in four is malformed text, and
+    the rest are of the key's own type, valid or out of range."""
+    return st.lists(st.sampled_from(keys).flatmap(lambda key: st.tuples(
+        st.just(cli._flag(key)),
+        one_in_four(MALFORMED_TEXT, FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]]))), max_size=4).map(dict)
+
+
+RUN_FLAGS = settings_flags(RUN_KEYS)
 
 
 @pytest.fixture(scope="session")
@@ -598,3 +602,59 @@ def test_any_settings_flags_run_or_are_one_error_line(session_checkpoint, held_o
         errors = err.getvalue().splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+@pytest.fixture(scope="session")
+def session_corpus(session_checkpoint):
+    """The corpus and vocabulary the session checkpoint was trained from."""
+    return session_checkpoint.parent / "corpus.jsonl", session_checkpoint.parent / "vocab.json"
+
+
+# Small model, one epoch and short decodes, so that a run is quick unless a
+# drawn flag overrides them; the drawn flags come later and win.
+TINY_RUN = ["--d-model", "8", "--d-ff", "16", "--n-heads", "2", "--epochs", "1",
+            "--batch-size", "4", "--decode-max-len", "4"]
+
+
+def settings_command(command, corpus, vocab, out):
+    return {"train": ["train", "--train", corpus, "--vocab", vocab, "--output", out] + TINY_RUN,
+            "ablate": ["ablate", "--data", corpus, "--variants", "trrgen_order",
+                       "--train-ratio", "0.6", "--valid-ratio", "0.2", "--test-ratio", "0.2"]
+                      + TINY_RUN,
+            "preprocess": ["preprocess", "--input", corpus, "--output", out],
+            "report-ads": ["report-ads", "--input", corpus],
+            "build-vocab": ["build-vocab", "--input", corpus, "--output", out]}[command]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["train", "ablate", "preprocess", "report-ads", "build-vocab"]),
+       settings_flags(sorted(SETTINGS_AT_ORIGIN)))
+def test_any_settings_flags_train_or_are_one_error_line(session_corpus, command, flags):
+    """`train`, `ablate` and the corpus commands, which read every setting,
+    with any settings flags, each value valid or malformed, either exit 0
+    with output or exit 1 with a single `error:` line, no traceback and, for
+    `train`, no checkpoint. `report-ads` output is TSV lines, none when no
+    response sentence is `--ad-ngram-n` tokens long."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        args = [str(a) for a in settings_command(command, *session_corpus, out)]
+        for flag, text in flags.items():
+            args += [flag, text]
+        stdout, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
+            code = main(args)
+        event(f"{command} exit {code}")
+        if code == 0:
+            assert "Traceback" not in err.getvalue()
+            if command == "report-ads":
+                for line in stdout.getvalue().splitlines():
+                    count, expression, flagged = line.split("\t")
+                    assert int(count) >= 1 and expression and flagged in ("0", "1"), line
+            else:
+                assert stdout.getvalue()
+            assert command in ("report-ads", "ablate") or os.path.exists(out)
+        else:
+            assert code == 1
+            errors = err.getvalue().splitlines()
+            assert len(errors) == 1 and errors[0].startswith("error: "), errors
+            assert "Traceback" not in err.getvalue() and not os.path.exists(out)

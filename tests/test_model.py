@@ -9,6 +9,7 @@ from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax, sum_all
 
 from attention_reference import per_head_attention, per_head_weights
 import decode_reference as ref
+import training_reference
 
 
 def pe_oracle(seq_len, d_model):
@@ -410,8 +411,9 @@ class TestDecoder:
 
 class TestMatchesReferenceDecoder:
     """The decoder core against the `multi_head_attention` decoder kept in
-    `tests/decode_reference.py`: teacher-forced training must record the same
-    tape and give bitwise the same loss and gradients."""
+    `tests/decode_reference.py`: per-example teacher-forced training
+    (`tests/training_reference.py`) must record the same tape and give
+    bitwise the same loss and gradients."""
 
     BATCH = [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
              EncodedRecord([15, 16], [2, 17, 3], 5, 9),
@@ -421,7 +423,8 @@ class TestMatchesReferenceDecoder:
     def run(batch, config):
         params = M.init_parameters(config)
         tape = Tape()
-        loss = M.forward_training(batch, params, config, tape, np.random.default_rng(11))
+        loss = training_reference.forward_training(batch, params, config, tape,
+                                                   np.random.default_rng(11))
         tape.backward(loss)
         return float(loss.values), len(tape), [(name, t.grad) for name, t in params.named()]
 
@@ -451,6 +454,61 @@ class TestMatchesReferenceDecoder:
                                max_tgt_len=10, dropout=0.1)
         batch = self.BATCH[:1] + [EncodedRecord([15, 16], [2, 3], 5, 9)]
         self.check(batch, config, monkeypatch, tape_shorter_by=config.n_layers)
+
+
+def random_batch(rng, size, vocab=20):
+    """Ragged records: 1–7 review tokens, 1–7 target positions."""
+    return [EncodedRecord(list(rng.integers(10, vocab, rng.integers(1, 8))),
+                          [SOS_ID] + list(rng.integers(4, vocab, rng.integers(0, 7))) + [3],
+                          int(rng.integers(4, 9)), 9)
+            for _ in range(size)]
+
+
+class TestPackedMatchesPerExample:
+    """Packed `forward_training` against the per-example oracle in
+    `tests/training_reference.py`, on random ragged batches: the same loss
+    and gradients within 1e-10 relative error, and the dropout generator
+    left in the same state, so the masks were drawn in the same order."""
+
+    @staticmethod
+    def run(forward, batch, config):
+        params = M.init_parameters(config)
+        rng = np.random.default_rng(11)
+        tape = Tape()
+        loss = forward(batch, params, config, tape, rng)
+        tape.backward(loss)
+        return float(loss.values), len(tape), [(n, t.grad) for n, t in params.named()], rng.random()
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("p", [0.0, 0.1])
+    def test_loss_gradients_and_draws(self, variant, n_layers, p):
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=p,
+                               fusion_variant=variant, seed=n_layers)
+        rng = np.random.default_rng(M.FUSION_VARIANTS.index(variant) * 4 + n_layers)
+        for size in (1, 2, 5):
+            batch = random_batch(rng, size)
+            loss, entries, grads, draw = self.run(M.forward_training, batch, config)
+            want_loss, want_entries, want_grads, want_draw = self.run(
+                training_reference.forward_training, batch, config)
+            assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
+            assert draw == want_draw
+            for (name, g), (_, want) in zip(grads, want_grads):
+                assert (g is None) == (want is None), name
+                assert g is None or np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want)), name
+            if size == 5:
+                assert entries < want_entries / 2
+
+    def test_too_long_target_rejected(self, tiny_config, tiny_params):
+        batch = [EncodedRecord([10], [SOS_ID] + [5] * tiny_config.max_tgt_len + [3], 4, 9)]
+        with pytest.raises(M.ConfigError, match="exceeds max_tgt_len"):
+            M.forward_training(batch, tiny_params, tiny_config)
+
+    def test_review_without_tokens_rejected(self, tiny_config, tiny_params):
+        batch = [EncodedRecord([10], [SOS_ID, 3], 4, 9), EncodedRecord([], [SOS_ID, 3], 4, 9)]
+        with pytest.raises(M.ConfigError, match="at least one token"):
+            M.forward_training(batch, tiny_params, tiny_config)
 
 
 class TestDecoderStep:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from trrgen.tensor import (Tensor, Tape, matmul, add, scale, relu, softmax,
-                           layer_norm, concat_rows, split_heads, merge_heads,
+                           layer_norm, concat_rows, split_rows, split_heads, merge_heads,
                            embedding_lookup,
-                           dropout, cross_entropy_logits, sum_all,
+                           dropout, cross_entropy_logits, linear_cross_entropy, sum_all,
                            grad_check)
 from trrgen.optim import AdamState, adam_step, zero_grads
+
+import training_reference
 
 
 def rand(shape, seed=0, lo=-1.0, hi=1.0):
@@ -253,6 +255,92 @@ class TestCrossEntropy:
         with pytest.raises(ValueError):
             cross_entropy_logits(Tensor(np.zeros((2, 4))), [0, 0], ignore_id=0)
 
+    @pytest.mark.parametrize("target", [-2, 4, 7])
+    def test_target_out_of_range_rejected(self, target):
+        """A negative target used to index from the end: −2 scored as V − 2."""
+        with pytest.raises(ValueError, match="out of range"):
+            cross_entropy_logits(Tensor(np.zeros((2, 4))), [1, target])
+
+
+class TestLinearCrossEntropy:
+    """The fused output layer and loss against `add(matmul)` followed by
+    `cross_entropy_logits(reduction="sum")`."""
+
+    @staticmethod
+    def unfused(h, w, b, targets, tape=None):
+        return cross_entropy_logits(add(matmul(h, w, tape), b, tape), targets, tape=tape,
+                                    reduction="sum")
+
+    def run(self, fn, h, w, b, targets):
+        for t in (h, w, b):
+            t.zero_grad()
+        tape = Tape()
+        loss = fn(h, w, b, targets, tape)
+        tape.backward(scale(loss, 0.7, tape))
+        return float(loss.values), [t.grad.copy() for t in (h, w, b)]
+
+    @pytest.mark.parametrize("n,d,v", [(1, 3, 4), (5, 4, 7), (33, 8, 50)])
+    def test_matches_unfused_within_1e_12(self, n, d, v):
+        rng = np.random.default_rng(n)
+        h, w, b = (Tensor(rng.normal(size=s)) for s in ((n, d), (d, v), (v,)))
+        targets = rng.integers(0, v, n)
+        targets[0] = v - 1
+        loss, grads = self.run(linear_cross_entropy, h, w, b, targets)
+        want_loss, want_grads = self.run(self.unfused, h, w, b, targets)
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        for g, want in zip(grads, want_grads):
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_gradient_check(self):
+        h, w, b = rand((3, 4), 4), rand((4, 6), 5), rand((6,), 6)
+
+        def build():
+            tape = Tape()
+            return linear_cross_entropy(h, w, b, [5, 0, 3], tape), tape
+        assert grad_check(build, [h, w, b]) <= 1e-6
+
+    @pytest.mark.parametrize("scale_", [1e4, -1e4])
+    def test_finite_at_large_logits(self, scale_):
+        h = Tensor(np.array([[1.0], [-1.0]]))
+        w = Tensor(np.array([[scale_, 0.0, -scale_]]))
+        b = Tensor(np.zeros(3))
+        loss, grads = self.run(linear_cross_entropy, h, w, b, [1, 1])
+        assert np.isfinite(loss) and all(np.all(np.isfinite(g)) for g in grads)
+        assert loss == 2e4  # each row's target sits 1e4 below its top logit
+
+    @pytest.mark.parametrize("targets", [[0, -2], [0, 4], [0, -1]])
+    def test_target_out_of_range_rejected(self, targets):
+        with pytest.raises(ValueError, match="out of range"):
+            linear_cross_entropy(rand((2, 3)), rand((3, 4)), rand((4,)), targets)
+
+    def test_target_count_must_match_rows(self):
+        with pytest.raises(ValueError):
+            linear_cross_entropy(rand((2, 3)), rand((3, 4)), rand((4,)), [0, 1, 2])
+
+
+class TestSplitRows:
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_inverts_concat(self, axis):
+        x = rand((2, 5, 6), 8)
+        parts = split_rows(x, [1, 4], axis=axis)
+        assert [p.values.shape[axis] for p in parts] == [1, 3, x.values.shape[axis] - 4]
+        np.testing.assert_array_equal(np.concatenate([p.values for p in parts], axis=axis),
+                                      x.values)
+
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_gradients_with_an_unused_block(self, axis):
+        x = rand((2, 5, 6), 8)
+
+        def build():
+            tape = Tape()
+            first, _, last = split_rows(x, [1, 4], tape, axis=axis)
+            return add(sum_all(scale(first, 2.0, tape), tape),
+                       sum_all(relu(last, tape), tape), tape), tape
+        assert grad_check(build, [x]) <= 1e-6
+        middle = [slice(None)] * 3
+        middle[axis] = slice(1, 4)
+        assert np.all(x.grad[tuple(middle)] == 0.0)
+
 
 class TestBackward:
     def test_sum_gradient_all_ones(self):
@@ -385,3 +473,21 @@ class TestAdam:
             p.grad = 2.0 * p.values
             adam_step([p], state)
         assert abs(float(p.values[0])) < 0.5
+
+    def test_in_place_update_is_bitwise_the_allocating_one(self):
+        """Several steps of the in-place update against the allocating one in
+        `tests/training_reference.py`, from the same parameters and gradients,
+        one of them missing: moments and parameters agree bit for bit."""
+        start = [np.random.default_rng(0).normal(size=s) for s in [(3, 4), (5,), (2, 3, 2)]]
+        runs = []
+        for step in (adam_step, training_reference.adam_step):
+            params = [Tensor(v.copy()) for v in start]
+            state = AdamState(params, lr=1e-2, beta1=0.8, beta2=0.95, eps=1e-6)
+            grads = np.random.default_rng(1)
+            for k in range(4):
+                for i, p in enumerate(params):
+                    p.grad = None if (k, i) == (2, 1) else grads.normal(size=p.values.shape)
+                step(params, state)
+            runs.append([p.values for p in params] + state.m + state.v)
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
