@@ -5,8 +5,9 @@ length, JSON header (model config, run config, vocabulary tokens, training
 metadata, tensor manifest), then one uint64-length-prefixed raw float64 block
 per tensor in `Parameters.named()` order. Attention projections are stored
 fused, one d_model x d_model block each; version 1 stored one block per head
-and is rejected, like any truncated or inconsistent file. The JSON header is
-serialized with sorted keys so identical state produces byte-identical files.
+and is rejected, like any truncated or inconsistent file or one holding a
+non-finite weight. The JSON header is serialized with sorted keys so
+identical state produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
 
 
 def load_checkpoint(path):
-    """Returns (params, config, vocab, run_config, metadata); bitwise round trip."""
+    """Returns (params, config, vocab, run_config, metadata); bitwise round trip.
+    A tensor holding a NaN or infinite value is rejected, since no model
+    with one decodes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
@@ -95,6 +98,8 @@ def load_checkpoint(path):
                                       f"expected {t.values.nbytes}")
             raw = read(nbytes, f"tensor {name}")
             t.values = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape).astype(np.float64)
+            if not np.isfinite(t.values).all():
+                raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
         if fh.tell() != size:
             raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
     return params, config, vocab, run_config, metadata

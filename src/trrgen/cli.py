@@ -24,7 +24,7 @@ from . import corpus as C
 from .checkpoint import save_checkpoint, load_checkpoint
 from .evaluation import (corpus_bleu, evaluate_model, random_selection_baseline,
                          format_report_table)
-from .generation import DecodeConfig, generate, postprocess
+from .generation import DecodeConfig, generate, generate_all, postprocess, response_ids
 from .model import ModelConfig, FUSION_VARIANTS
 from .training import TrainOptions, train_model
 
@@ -209,9 +209,6 @@ def cmd_generate(args) -> int:
         except C.CorpusError as exc:
             raise C.CorpusError(f"{where}: {exc}") from None
 
-    def respond(encoded):
-        return postprocess(generate(encoded, params, config, decode), vocab)
-
     if args.batch:
         inputs = []  # every line is checked before the first response is generated
         with open(args.batch, encoding="utf-8") as fh:
@@ -230,12 +227,15 @@ def cmd_generate(args) -> int:
                     raise CliError(f"{where}: expected an object with a review, an integer "
                                    f"rating and a category ({exc})") from None
                 inputs.append((obj, encode(*fields, where)))
-        for obj, encoded in inputs:
-            print(json.dumps({"input": obj, "response": respond(encoded)}, ensure_ascii=False))
+        hyps = generate_all([encoded for _, encoded in inputs], params, config, decode)
+        for (obj, _), hyp in zip(inputs, hyps):
+            response = postprocess(response_ids(hyp), vocab)
+            print(json.dumps({"input": obj, "response": response}, ensure_ascii=False))
     else:
         if args.review is None or args.rating is None or args.category is None:
             raise CliError("generate requires --review, --rating and --category (or --batch)")
-        print(respond(encode(args.review, args.rating, args.category, "input")))
+        encoded = encode(args.review, args.rating, args.category, "input")
+        print(postprocess(generate(encoded, params, config, decode), vocab))
     return 0
 
 

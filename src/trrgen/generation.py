@@ -5,11 +5,16 @@ log-probabilities: "beam" at `beam_width`, "greedy" at width 1, which picks
 the most probable token (ties broken by lowest token id) at each step. There
 is no sampling path.
 
-Decoding is incremental: each step runs only the newest position of every
-live hypothesis against the review's key/value cache (`model.decoder_step`,
-the decoder core that training also runs), so no step recomputes the prefix.
-Tests hold it to the per-prefix decoders of `tests/decode_reference.py`, which
-rerun that file's reference decoder on every prefix.
+Decoding is incremental and grouped: `decode_group` decodes several reviews
+together, and each step runs only the newest position of every live
+hypothesis of every unfinished review, in one call of `model.decoder_step`
+(the decoder core that training also runs) against the group's key/value
+cache, so no step recomputes a prefix. Each review keeps its own beam, so
+its output does not depend on the other reviews of its group. `generate`
+decodes one review, and `generate_all` many, in groups that keep a step
+within MAX_BEAM_WIDTH rows. Tests hold the loop to the per-review,
+per-prefix decoders of `tests/decode_reference.py`, which rerun that file's
+reference decoder on every prefix.
 """
 
 from __future__ import annotations
@@ -20,10 +25,11 @@ import numpy as np
 
 from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord
 from .model import (ModelConfig, ConfigError, Parameters, EncoderOutput, encode_review,
-                    init_decoder_cache, decoder_step)
+                    init_group_cache, decoder_step)
 
 
-# Live hypotheses, and so decoding time and memory, grow with the width.
+# Live hypotheses, and so decoding time and memory, grow with the width. It
+# also caps the rows of one grouped decoding step.
 MAX_BEAM_WIDTH = 64
 
 
@@ -45,11 +51,17 @@ class DecodeConfig:
         if not 0 <= self.length_penalty <= 10:
             raise ValueError(f"length_penalty must be in [0, 10], got {self.length_penalty!r}")
 
+    @property
+    def width(self) -> int:
+        """Live hypotheses per review: `beam_width` for beam, 1 for greedy."""
+        return self.beam_width if self.strategy == "beam" else 1
+
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """Log-softmax of each row (last axis)."""
-    m = x.max(axis=-1, keepdims=True)
-    return x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    z = x - x.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
 
 
 def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
@@ -69,41 +81,58 @@ def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     return [(int(i % w), int(i // w)) for i in idx]
 
 
-def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
-                decode: DecodeConfig) -> list[int]:
-    """Beam search over summed token log-probabilities; greedy is width 1.
+def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutput],
+                 decode: DecodeConfig) -> list[list[int]]:
+    """Beam search over summed token log-probabilities for a group of
+    reviews at once; greedy is width 1.
 
-    Each step runs the decoder on the newest token of the W live hypotheses,
-    scores every hypothesis extended by every token and walks the best
-    2·width candidates: those ending in ⟨eos⟩ are retired, the rest stay live
-    until `width` are, and the cache keeps the rows of their parents. The best
-    finished hypothesis (or, failing any, the best live one) wins; ⟨sos⟩/⟨eos⟩
-    are stripped.
+    Each step runs the decoder once, on the newest token of every live
+    hypothesis of every unfinished review, stacked review by review. Each
+    review then scores its hypotheses extended by every token and walks its
+    best 2·width candidates: those ending in ⟨eos⟩ are retired, the rest stay
+    live until `width` are, and the cache keeps the rows of their parents. A
+    review is done once it has no live hypothesis or `width` finished ones,
+    and its rows leave the cache. Its best finished hypothesis (or, failing
+    any, its best live one) wins.
+
+    Returns each review's winner without ⟨sos⟩; it ends in ⟨eos⟩ unless
+    decoding stopped at the length cap.
     """
     max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
     if max_len > config.max_tgt_len - 1:
         raise ConfigError(f"decode max_len {max_len} exceeds max_tgt_len - 1 "
                           f"= {config.max_tgt_len - 1}")
-    width = decode.beam_width if decode.strategy == "beam" else 1
-    live = [([SOS_ID], 0.0)]   # (prefix, summed logprob)
-    finished: list[tuple[list[int], float]] = []
-    cache = init_decoder_cache(enc, params, config)
+    width = decode.width
+    live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
+    finished: list[list[tuple[list[int], float]]] = [[] for _ in encs]
+    active = list(range(len(encs)))  # unfinished reviews, in row order
+    cache = init_group_cache(encs, params, config)
 
     for _ in range(max_len):
-        logits = decoder_step(np.array([prefix[-1] for prefix, _ in live]), cache,
+        hyps = [hyp for r in active for hyp in live[r]]
+        logits = decoder_step(np.array([prefix[-1] for prefix, _ in hyps]), cache,
                               params, config)
-        scores = np.array([score for _, score in live])[:, None] + _log_softmax(logits)
-        beams, live, parents = live, [], []
-        for h, tok in _top_candidates(scores, width * 2):
-            hyp = (beams[h][0] + [tok], scores[h, tok])
-            if tok == EOS_ID:
-                finished.append(hyp)
-            else:
-                live.append(hyp)
-                parents.append(h)
-            if len(live) >= width:
-                break
-        if not live or len(finished) >= width:
+        scores = _log_softmax(logits)
+        scores += np.array([score for _, score in hyps])[:, None]
+        parents, still = [], []
+        first = 0  # the review's first row
+        for r in active:
+            beams, live[r], kept = live[r], [], []
+            for h, tok in _top_candidates(scores[first:first + len(beams)], width * 2):
+                hyp = (beams[h][0] + [tok], scores[first + h, tok])
+                if tok == EOS_ID:
+                    finished[r].append(hyp)
+                else:
+                    live[r].append(hyp)
+                    kept.append(first + h)
+                if len(live[r]) >= width:
+                    break
+            if live[r] and len(finished[r]) < width:
+                still.append(r)
+                parents += kept
+            first += len(beams)
+        active = still
+        if not active:
             break
         cache.select(parents)
 
@@ -112,18 +141,37 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
         length = max(len(tokens) - 1, 1)  # exclude ⟨sos⟩
         return score / (length ** decode.length_penalty)
 
-    pool = finished if finished else live
-    best = max(pool, key=final_score)
-    tokens = best[0][1:]  # strip ⟨sos⟩
-    if tokens and tokens[-1] == EOS_ID:
-        tokens = tokens[:-1]
-    return tokens
+    return [max(done or left, key=final_score)[0][1:] for done, left in zip(finished, live)]
+
+
+def response_ids(hyp: list[int]) -> list[int]:
+    """A decoded hypothesis without its final ⟨eos⟩, if it has one."""
+    return hyp[:-1] if hyp and hyp[-1] == EOS_ID else hyp
+
+
+def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
+                decode: DecodeConfig) -> list[int]:
+    """`decode_group` for one review, with ⟨eos⟩ stripped."""
+    return response_ids(decode_group(params, config, [enc], decode)[0])
 
 
 def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,
              decode: DecodeConfig) -> list[int]:
     enc = encode_review(record, params, config, tape=None)
     return beam_decode(params, config, enc, decode)
+
+
+def generate_all(records: list[EncodedRecord], params: Parameters, config: ModelConfig,
+                 decode: DecodeConfig) -> list[list[int]]:
+    """`decode_group` over `records` in input order, in groups of as many
+    reviews as keep a step within MAX_BEAM_WIDTH rows; one hypothesis per
+    record, in input order, as `decode_group` returns it."""
+    size = max(1, MAX_BEAM_WIDTH // decode.width)
+    hyps = []
+    for i in range(0, len(records), size):
+        encs = [encode_review(rec, params, config, tape=None) for rec in records[i:i + size]]
+        hyps += decode_group(params, config, encs, decode)
+    return hyps
 
 
 def postprocess(token_ids: list[int], vocab: Vocabulary) -> str:

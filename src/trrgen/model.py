@@ -7,7 +7,9 @@ category (prepended as an extra position or summed in), selected by
 
 The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
 target through it from an empty key/value cache, and `decoder_step` one new
-position. `tests/decode_reference.py` keeps a reference decoder as the oracle.
+position for the live hypotheses of one review or of a group of reviews
+(`init_group_cache`). `tests/decode_reference.py` keeps a reference decoder
+as the oracle.
 
 Training runs a batch as packed rows (`forward_training`): the fused inputs
 of all its reviews end to end, and all its targets end to end, with no
@@ -389,32 +391,63 @@ def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelCon
 
 @dataclass
 class DecoderCache:
-    """Decoder state for one review after `length` positions. Per layer,
-    `cross` holds the cross-attention keys [H, d_k, Tk] and values [H, Tk, d_k]
-    of the encoder states, and `self_kv` the self-attention keys
-    [..., H, d_k, length] and values [..., H, length, d_k] of the positions
-    decoded so far (None before the first), a leading row per hypothesis.
-    For packed reviews, `src_rows` holds each review's count of encoder rows."""
+    """Decoder state after `length` positions. Per layer, `cross` holds the
+    cross-attention keys [..., H, d_k, Tk] and values [..., H, Tk, d_k] of the
+    encoder states, which broadcast against the hypothesis rows, and
+    `self_kv` the self-attention keys [N, H, d_k, length] and values
+    [N, H, length, d_k] of the positions decoded so far (None before the
+    first), one row per live hypothesis. For packed reviews, `src_rows` holds
+    each review's count of encoder rows.
+
+    A group cache (`init_group_cache`) decodes several reviews at once:
+    `reviews` names the review of each row, and `cross` and the
+    [N, 1, 1, Tk] `src_mask` hold one copy of that review's keys, values and
+    key mask per row, padded to the group's longest review."""
     cross: list[tuple[Tensor, Tensor]]
     src_mask: np.ndarray | None
     self_kv: list[tuple[np.ndarray, np.ndarray] | None]
     length: int = 0
     src_rows: np.ndarray | None = None
+    reviews: np.ndarray | None = None
 
     def select(self, rows):
-        """Keep the hypotheses at `rows`, in that order; a row may repeat."""
+        """Keep the hypotheses at `rows`, in that order; a row may repeat.
+        A review none of whose rows is kept drops out of the next step."""
         self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
+        # rows that keep their reviews keep their cross keys and values
+        if self.reviews is not None and not np.array_equal(self.reviews[rows], self.reviews):
+            self.cross = [(Tensor(k_t.values[rows]), Tensor(v.values[rows]))
+                          for k_t, v in self.cross]
+            self.src_mask, self.reviews = self.src_mask[rows], self.reviews[rows]
 
 
 def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
                        tape: Tape | None = None) -> DecoderCache:
-    """An empty cache for decoding from the [Tk, d] encoder states of one
+    """An empty cache for decoding from the [..., Tk, d] encoder states of one
     review, or the packed ones of several: each layer's cross-attention keys
     and values, recorded on `tape`."""
     cross = [(_heads(enc.states, a.wk, config.d_k, tape, keys=True),
               _heads(enc.states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
     return DecoderCache(cross, enc.src_mask, [None] * len(params.decoder), src_rows=enc.rows)
+
+
+def init_group_cache(encs: list[EncoderOutput], params: Parameters,
+                     config: ModelConfig) -> DecoderCache:
+    """An empty cache for decoding the reviews of `encs`, each with [Tk_r, d]
+    states, together: row r of the first step is review r's. The states are
+    padded with zeros to the longest review, and the key mask hides the
+    padding from cross-attention."""
+    tk = max(enc.states.values.shape[0] for enc in encs)
+    states = np.zeros((len(encs), tk, config.d_model))
+    src_mask = np.full((len(encs), 1, 1, tk), NEG_INF)
+    for r, enc in enumerate(encs):
+        n = enc.states.values.shape[0]
+        states[r, :n] = enc.states.values
+        src_mask[r, ..., :n] = 0.0
+    cache = init_decoder_cache(EncoderOutput(Tensor(states), src_mask), params, config)
+    cache.reviews = np.arange(len(encs))
+    return cache
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
@@ -483,7 +516,8 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
                  config: ModelConfig) -> np.ndarray:
     """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
     at position `cache.length`: the last row of `decoder_forward` over each
-    hypothesis's prefix, computed for that one position against the cache."""
+    hypothesis's prefix and its review, computed for that one position
+    against the cache."""
     h = _decode_positions(np.asarray(tokens)[:, None], cache, params, config)
     return _logits(h, params).values[:, 0]
 

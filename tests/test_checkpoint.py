@@ -138,3 +138,22 @@ def test_malformed_json_and_block_length_rejected(tiny_checkpoint):
     tiny_checkpoint.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="block"):
         load_checkpoint(tiny_checkpoint)
+
+
+@pytest.mark.parametrize("bad", [
+    [("out_proj", (0, 5), np.nan)],
+    [("embedding", (3, 1), np.inf)],
+    [("dec0.ffn.w1", (1, 0), -np.inf), ("out_proj", (0, 5), np.nan)],
+    [("enc0.norm1.gamma", (0,), np.nan), ("dec0.cross.wv", (2, 2), np.inf)],
+])
+def test_non_finite_tensor_rejected_by_name(tmp_path, setup, bad):
+    """The error names the first tensor, in file order, that holds a NaN or
+    an infinite value."""
+    params, config, vocab = setup
+    tensors = dict(params.named())
+    for name, index, value in bad:
+        tensors[name].values[index] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config, vocab)
+    with pytest.raises(CheckpointError, match=rf"tensor {bad[0][0]} holds a NaN or infinite"):
+        load_checkpoint(path)

@@ -5,11 +5,12 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from trrgen import cli
-from trrgen.checkpoint import load_checkpoint
+from trrgen.checkpoint import load_checkpoint, save_checkpoint
 from trrgen.cli import main
 from trrgen.corpus import PreprocessConfig
 from trrgen.generation import DecodeConfig
@@ -252,6 +253,47 @@ class TestTrainGenerateEvaluate:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: length_penalty"), err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("decode", [[], ["--strategy", "beam", "--beam-width", 4],
+                                        ["--strategy", "beam", "--beam-width", 30,
+                                         "--length-penalty", 1]])
+    def test_generate_batch_prints_what_one_call_per_line_prints(self, session_checkpoint,
+                                                                 tmp_path, capsys, decode):
+        """The batch is decoded in groups (two reviews a group at width 30);
+        each line's response is what decoding that review alone gives."""
+        rows = [("love it", 5, "GAME"), ("app", 1, "TOOLS"),
+                ("slow app crash please fix the update battery", 2, "TOOLS"),
+                ("great", 4, "GAME"), ("ads ads free", 3, "GAME")]
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text("".join(json.dumps({"review": r, "rating": n, "category": c}) + "\n"
+                                 for r, n, c in rows))
+        command = ["generate", "--checkpoint", session_checkpoint, *decode]
+        expected = []
+        for review, rating, category in rows:
+            assert run([*command, "--review", review, "--rating", rating,
+                        "--category", category]) == 0
+            expected.append(capsys.readouterr().out)
+        assert run([*command, "--batch", batch]) == 0
+        lines = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(lines) == len(rows)
+        for line, (review, rating, category), out in zip(lines, rows, expected):
+            obj = json.loads(line)
+            assert obj["input"] == {"review": review, "rating": rating, "category": category}
+            assert obj["response"] + "\n" == out
+
+    @pytest.mark.parametrize("decode", [[], ["--strategy", "beam", "--beam-width", 3]])
+    def test_generate_non_finite_checkpoint_is_one_error_line(self, session_checkpoint,
+                                                             tmp_path, capsys, decode):
+        params, config, vocab, run_config, metadata = load_checkpoint(session_checkpoint)
+        params.out_proj.values[0, 5] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, params, config, vocab, run_config, metadata)
+        assert run(["generate", "--checkpoint", bad, "--review", "love it", "--rating", 5,
+                    "--category", "GAME", *decode]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {bad}: tensor out_proj holds a NaN or infinite value"]
         assert captured.out == ""
 
     def test_generate_beam_width_above_ceiling_fails(self, session_checkpoint, capsys):

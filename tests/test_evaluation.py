@@ -1,13 +1,18 @@
+import json
 import math
 import random
 
 import pytest
 
+from trrgen.corpus import EOS_ID, PreprocessConfig, build_vocabulary, tokenize
 from trrgen.evaluation import (modified_precision, brevity_penalty, corpus_bleu,
                                random_selection_baseline, EvaluationError,
-                               format_report_table)
+                               format_report_table, evaluate_model)
+from trrgen.generation import DecodeConfig, generate, postprocess
+from trrgen.model import ModelConfig, init_parameters
 
 from bleu_oracle import oracle_bleu, oracle_precision_counts
+from conftest import encode_corpus, make_records
 
 
 def random_corpus(rng, n_pairs, vocab=("a", "b", "c", "d", "e")):
@@ -146,3 +151,51 @@ def test_report_json_and_table():
     assert '"label": "vanilla"' in line and '"bleu"' in line
     table = format_report_table([report])
     assert "vanilla" in table and "BLEU-4" in table
+
+
+class TestEvaluateModel:
+    """`evaluate_model` decodes in groups and reports how many responses
+    stopped at the length cap."""
+
+    @staticmethod
+    def setup(eos_bias):
+        records = make_records(8, seed=1)
+        vocab = build_vocabulary(records, min_freq=1)
+        encoded, responses = encode_corpus(records, vocab, PreprocessConfig())
+        config = ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ff=16,
+                             max_tgt_len=8, dropout=0.0, seed=3)
+        params = init_parameters(config, seed=0)
+        params.out_proj.values *= 3
+        params.out_bias.values[EOS_ID] += eos_bias
+        return params, config, vocab, encoded, responses
+
+    @pytest.mark.parametrize("eos_bias,frac", [(100.0, 0.0), (-1e9, 1.0)])
+    @pytest.mark.parametrize("decode", [DecodeConfig(), DecodeConfig(strategy="beam"),
+                                        DecodeConfig(strategy="beam", max_len=3)])
+    def test_length_capped_frac_at_the_extremes(self, eos_bias, frac, decode):
+        params, config, vocab, encoded, responses = self.setup(eos_bias)
+        report = evaluate_model(params, config, vocab, encoded, responses, decode)
+        assert report.extra == {"n_pairs": 8, "length_capped_frac": frac}
+
+    @pytest.mark.parametrize("decode,frac", [(DecodeConfig(), 0.75),
+                                             (DecodeConfig(strategy="beam", beam_width=3), 0.25)])
+    def test_mixed_length_capped_frac_and_outputs_match_one_review_at_a_time(self, decode,
+                                                                             frac):
+        """Some reviews stop on ⟨eos⟩ and some at the cap; a response is
+        capped exactly when decoding it alone fills all max_len steps."""
+        params, config, vocab, encoded, responses = self.setup(2.0)
+        report = evaluate_model(params, config, vocab, encoded, responses, decode,
+                                label="mixed")
+        alone = [generate(rec, params, config, decode) for rec in encoded]
+        cap = config.max_tgt_len - 1
+        assert report.extra["length_capped_frac"] == frac
+        assert frac == sum(len(ids) == cap for ids in alone) / len(alone)
+        candidates = [tokenize(postprocess(ids, vocab)) for ids in alone]
+        expected = corpus_bleu(candidates, [tokenize(r) for r in responses], label="mixed")
+        assert (report.bleu, report.precisions, report.candidate_length) == \
+            (expected.bleu, expected.precisions, expected.candidate_length)
+        keys = set(json.loads(report.to_json()))
+        assert keys == {"label", "bleu", "p1", "p2", "p3", "p4", "brevity_penalty",
+                        "candidate_length", "reference_length", "n_pairs",
+                        "length_capped_frac"}
+        assert report.extra["n_pairs"] == 8

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trrgen import model as M
 from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
                            tokenize, SOS_ID, EOS_ID)
-from trrgen.generation import DecodeConfig, beam_decode, generate, postprocess
+from trrgen.generation import (DecodeConfig, beam_decode, decode_group, generate, generate_all,
+                               postprocess, response_ids)
 
 import decode_reference as ref
 
@@ -202,6 +204,99 @@ class TestMatchesReference:
                        DecodeConfig(strategy="beam", max_len=500)):
             with pytest.raises(M.ConfigError, match="max_len"):
                 beam_decode(params, config, enc, decode)
+
+
+REVIEWS = st.lists(st.integers(5, 13), min_size=1, max_size=5)  # 1-token reviews included
+
+
+class TestGroupDecoding:
+    """Reviews decoded together against each review decoded alone by the
+    per-prefix oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**16), st.lists(REVIEWS, min_size=1, max_size=6),
+           st.lists(st.integers(1, 5), min_size=6, max_size=6), st.integers(1, 5),
+           st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.sampled_from([None, 2, 5]))
+    def test_token_identical_to_each_review_alone(self, seed, reviews, ratings, width,
+                                                   penalty, boosted, max_len):
+        """Boosted ⟨eos⟩ makes reviews finish at different steps; a
+        response without ⟨eos⟩ stopped at the length cap."""
+        cases = {label: (params, config) for label, params, config in seeded_and_eos_boosted(
+            seed, n_layers=1 + seed % 2, variant=M.FUSION_VARIANTS[seed % 6])}
+        params, config = cases["eos_boosted" if boosted else "seeded"]
+        records = [EncodedRecord(src, [2, 3], ratings[i], 9 + i % 2)
+                   for i, src in enumerate(reviews)]
+        encs = [M.encode_review(rec, params, config) for rec in records]
+        for decode, oracle in ((DecodeConfig(max_len=max_len), ref.greedy_decode),
+                               (DecodeConfig(strategy="beam", beam_width=width,
+                                             max_len=max_len, length_penalty=penalty),
+                                ref.beam_decode)):
+            hyps = decode_group(params, config, encs, decode)
+            want = [oracle(params, config, enc, decode) for enc in encs]
+            assert [response_ids(hyp) for hyp in hyps] == want
+            cap = decode.max_len or config.max_tgt_len - 1
+            assert all(hyp[-1] == EOS_ID or len(hyp) == cap for hyp in hyps)
+            assert generate_all(records, params, config, decode) == hyps
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_decoder_core_call_per_step_for_the_group(self, width, monkeypatch):
+        params, config = random_model(width)
+        params.out_bias.values[EOS_ID] = -1e9  # nothing finishes, so every step runs
+        encs = [enc_for(params, config, src) for src in [(9,), (10, 11, 12, 13), (9, 12)]]
+        calls, decode_positions = [], M._decode_positions
+
+        def counting(ids, *args, **kwargs):
+            calls.append(np.shape(ids))
+            return decode_positions(ids, *args, **kwargs)
+        monkeypatch.setattr(M, "_decode_positions", counting)
+        decode = DecodeConfig(strategy="beam", beam_width=width, max_len=6)
+        assert [len(h) for h in decode_group(params, config, encs, decode)] == [6] * 3
+        assert calls == [(3, 1)] + [(3 * width, 1)] * 5
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 10])
+    def test_each_review_keeps_the_rows_it_has_alone(self, seed, monkeypatch):
+        """Every step carries, for each review, the rows it would carry if
+        decoded alone, and none once it is done: reviews finish at different
+        steps and leave the step and the cache."""
+        _, (_, params, config) = seeded_and_eos_boosted(seed)
+        encs = [enc_for(params, config, src) for src in [(9,), (10, 11, 12), (13, 9), (12,)]]
+        steps = []
+
+        def recording(tokens, cache, *args):
+            steps.append(np.bincount(cache.reviews, minlength=len(encs)).tolist())
+            return M.decoder_step(tokens, cache, *args)
+        monkeypatch.setattr("trrgen.generation.decoder_step", recording)
+        decode = DecodeConfig(strategy="beam", beam_width=3)
+        alone = []
+        for enc in encs:
+            steps.clear()
+            decode_group(params, config, [enc], decode)
+            alone.append([rows[0] for rows in steps])
+        steps.clear()
+        decode_group(params, config, encs, decode)
+        assert len(steps) == max(len(rows) for rows in alone)
+        assert len({len(rows) for rows in alone}) > 1  # finished at different steps
+        for k, rows in enumerate(steps):
+            assert rows == [counts[k] if k < len(counts) else 0 for counts in alone]
+
+    def test_group_size_keeps_steps_within_the_row_ceiling(self, monkeypatch):
+        params, config = random_model(5)
+        params.out_bias.values[EOS_ID] = -1e9
+        records = [EncodedRecord([9 + i % 4], [2, 3], 4, 9) for i in range(70)]
+        sizes = []
+
+        def counting(params, config, encs, decode):
+            sizes.append(len(encs))
+            return decode_group(params, config, encs, decode)
+        monkeypatch.setattr("trrgen.generation.decode_group", counting)
+        for decode, want in [(DecodeConfig(max_len=2), [64, 6]),
+                             (DecodeConfig(strategy="beam", beam_width=30, max_len=2),
+                              [2] * 35),
+                             (DecodeConfig(strategy="beam", beam_width=64, max_len=1),
+                              [1] * 70)]:
+            sizes.clear()
+            assert len(generate_all(records, params, config, decode)) == 70
+            assert sizes == want
 
 
 class TestPostprocess:

@@ -544,6 +544,41 @@ class TestDecoderStep:
                 M.decoder_step(prefixes[:, -1], cache, params, config)
 
 
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_group_rows_match_last_row_of_their_review(self, variant, n_layers):
+        """A group cache over reviews of 1, 3 and 5 tokens: every row's logits
+        are the last row of the reference decoder over that row's prefix and
+        its own review, whichever rows each review keeps."""
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=0.0,
+                               fusion_variant=variant, seed=n_layers)
+        params = M.init_parameters(config)
+        records = [EncodedRecord([10], [2, 3], 4, 9),
+                   EncodedRecord([11, 12, 13], [2, 3], 5, 17),
+                   EncodedRecord([14, 15, 16, 17, 18], [2, 3], 6, 9)]
+        encs = [M.encode_review(rec, params, config) for rec in records]
+        rng = np.random.default_rng(n_layers)
+        cache = M.init_group_cache(encs, params, config)
+        prefixes = [[SOS_ID] for _ in records]
+        for pos in range(config.max_tgt_len):
+            got = M.decoder_step([p[-1] for p in prefixes], cache, params, config)
+            assert got.shape == (len(prefixes), config.vocab_size)
+            for row, (r, prefix) in enumerate(zip(cache.reviews, prefixes)):
+                want = ref.decoder_forward(prefix, encs[r], params, config).values[-1]
+                assert np.max(np.abs(got[row] - want)) <= 1e-12, (pos, row)
+            # each review keeps 0-4 rows drawn from its own, so live counts
+            # differ and reviews drop out; one row always stays
+            rows = []
+            for r in sorted(set(cache.reviews.tolist())):
+                rows += rng.choice(np.flatnonzero(cache.reviews == r), rng.integers(0, 5)).tolist()
+            rows = rows or [len(prefixes) - 1]
+            cache.select(rows)
+            prefixes = [prefixes[row] + [int(rng.integers(0, 20))] for row in rows]
+        with pytest.raises(M.ConfigError, match="max_tgt_len"):
+            M.decoder_step([p[-1] for p in prefixes], cache, params, config)
+
+
 class TestForwardTraining:
     def records(self):
         return [EncodedRecord([10, 11, 12], [2, 13, 14, 3], 4, 9),
