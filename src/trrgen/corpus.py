@@ -277,6 +277,8 @@ class Vocabulary:
     """Bijective token <-> id map with reserved specials at fixed ids."""
 
     def __init__(self, tokens: list[str]):
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CorpusError("vocabulary must be a JSON list of strings")
         self.id_to_token = list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(tokens)}
         if len(self.token_to_id) != len(self.id_to_token):

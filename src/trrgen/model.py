@@ -16,8 +16,9 @@ of all its reviews end to end, and all its targets end to end, with no
 padding. The embedding (`_embed_rows`), encoder (`_encoder_states`) and
 decoder cores take these row segments; position-wise work runs once over
 all rows, and attention runs per example on its own rows. The output layer
-and loss are one `linear_cross_entropy`. `tests/training_reference.py`
-keeps the per-example pass as the oracle.
+and loss are one `linear_cross_entropy`. Each dropout site draws one mask
+over all its packed rows. `tests/training_reference.py` keeps the
+per-example pass as the oracle, fed each example's rows of those masks.
 """
 
 from __future__ import annotations
@@ -435,19 +436,22 @@ def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConf
 def init_group_cache(encs: list[EncoderOutput], params: Parameters,
                      config: ModelConfig) -> DecoderCache:
     """An empty cache for decoding the reviews of `encs`, each with [Tk_r, d]
-    states, together: row r of the first step is review r's. The states are
-    padded with zeros to the longest review, and the key mask hides the
-    padding from cross-attention."""
-    tk = max(enc.states.values.shape[0] for enc in encs)
-    states = np.zeros((len(encs), tk, config.d_model))
-    src_mask = np.full((len(encs), 1, 1, tk), NEG_INF)
-    for r, enc in enumerate(encs):
-        n = enc.states.values.shape[0]
-        states[r, :n] = enc.states.values
-        src_mask[r, ..., :n] = 0.0
-    cache = init_decoder_cache(EncoderOutput(Tensor(states), src_mask), params, config)
-    cache.reviews = np.arange(len(encs))
-    return cache
+    states, together: row r of the first step is review r's. Each layer
+    projects the real rows of all reviews at once, then pads the keys and
+    values with zeros to the longest review; the key mask hides the padding
+    from cross-attention."""
+    rows = np.array([enc.states.values.shape[0] for enc in encs])
+    real = np.arange(rows.max()) < rows[:, None]  # [R, Tk] slots that hold a row
+    states = Tensor(np.concatenate([enc.states.values for enc in encs]))
+
+    def heads(w, keys=False):
+        padded = np.zeros((*real.shape, config.d_model))
+        padded[real] = matmul(states, w, None).values
+        return split_heads(Tensor(padded), config.d_k, None, keys)
+    cross = [(heads(layer.cross_attn.wk, keys=True), heads(layer.cross_attn.wv))
+             for layer in params.decoder]
+    return DecoderCache(cross, np.where(real, 0.0, NEG_INF)[:, None, None],
+                        [None] * len(params.decoder), reviews=np.arange(len(encs)))
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
@@ -532,38 +536,6 @@ def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,
     return encode(x, src_mask, params, config, tape, training, rng)
 
 
-class _PackedDraws:
-    """Stands in for the dropout generator of a packed batch: `random`
-    returns the next of the uniform arrays drawn in advance."""
-
-    def __init__(self, arrays: list[np.ndarray]):
-        self._arrays = arrays[::-1]
-
-    def random(self, shape):
-        u = self._arrays.pop()
-        if u.shape != tuple(shape):
-            raise ValueError(f"dropout draw of shape {tuple(shape)}, drawn {u.shape}")
-        return u
-
-
-def _draw_packed(rng: np.random.Generator, src_rows: np.ndarray, tgt_rows: np.ndarray,
-                 config: ModelConfig) -> _PackedDraws:
-    """Every dropout mask's uniforms for a packed batch, drawn in the order
-    of examples processed one at a time: for each example, its 1 + 2L encoder
-    masks [n_e, d], then its 1 + 3L decoder masks [t_e, d]. Each lands in
-    that example's rows of the packed array its dropout site reads."""
-    n_layers, d = config.n_layers, config.d_model
-    enc = [np.empty((src_rows.sum(), d)) for _ in range(1 + 2 * n_layers)]
-    dec = [np.empty((tgt_rows.sum(), d)) for _ in range(1 + 3 * n_layers)]
-    src_starts, tgt_starts = np.cumsum(src_rows) - src_rows, np.cumsum(tgt_rows) - tgt_rows
-    for s, n_s, t, n_t in zip(src_starts, src_rows, tgt_starts, tgt_rows):
-        for u in enc:
-            rng.random(out=u[s:s + n_s])
-        for u in dec:
-            rng.random(out=u[t:t + n_t])
-    return _PackedDraws(enc + dec)
-
-
 def forward_training(batch: list[EncodedRecord], params: Parameters,
                      config: ModelConfig, tape: Tape | None = None,
                      rng: np.random.Generator | None = None):
@@ -572,8 +544,9 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
     The batch runs as packed rows with no padding: every review's encoder
     rows end to end, and every target's rows end to end. Position-wise work
     runs once over all rows, attention per example on its rows, and the
-    output layer and loss are one `linear_cross_entropy`. Dropout masks are
-    drawn from `rng` in the order of a per-example pass.
+    output layer and loss are one `linear_cross_entropy`. Each dropout site
+    draws one mask from `rng` over all its packed rows, in the order the
+    encoder and decoder walks reach the sites.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -587,8 +560,6 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
                     np.array([r.rating_id for r in batch]),
                     np.array([r.category_id for r in batch]),
                     config.fusion_variant, params, tape, (src_rows.sum(),))
-    if training and config.dropout > 0.0:
-        rng = _draw_packed(rng, src_rows, tgt_rows, config)
     states = _encoder_states(x, None, src_rows, params, config, tape, training, rng)
     cache = init_decoder_cache(EncoderOutput(states, src_mask=None, rows=src_rows),
                                params, config, tape)

@@ -117,6 +117,7 @@ def rewrite_header(path, edit):
     (lambda h: h.pop("vocabulary"), "malformed header"),
     (lambda h: h["model_config"].update(n_heads=3), "malformed header"),
     (lambda h: h["vocabulary"].pop(), "vocabulary has"),
+    (lambda h: h["vocabulary"].__setitem__(-1, 7), "JSON list of strings"),
     (lambda h: h["tensors"][0][1].append(1), "manifest"),
 ])
 def test_inconsistent_header_rejected(tiny_checkpoint, edit, match):

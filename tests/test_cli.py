@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -295,6 +296,37 @@ class TestTrainGenerateEvaluate:
         assert captured.err.splitlines() == [
             f"error: {bad}: tensor out_proj holds a NaN or infinite value"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("edit", [lambda v: 5, lambda v: dict.fromkeys(v, 0),
+                                      lambda v: v[:-1] + [7], lambda v: v[:-1] + [v[-1:]]])
+    def test_train_vocab_not_a_list_of_strings_is_one_error_line(self, session_checkpoint,
+                                                                 corpus_file, tmp_path,
+                                                                 capsys, edit):
+        path, ckpt = tmp_path / "vocab.json", tmp_path / "model.ckpt"
+        path.write_text(json.dumps(edit(load_checkpoint(session_checkpoint)[2].id_to_token)))
+        assert run(["train", "--train", corpus_file, "--vocab", path, "--output", ckpt,
+                    "--epochs", 1]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: vocabulary must be a JSON list of strings"]
+        assert captured.out == ""
+        assert not ckpt.exists()
+
+    def test_checkpoint_vocabulary_with_a_number_is_one_error_line(self, session_checkpoint,
+                                                                   corpus_file, tmp_path,
+                                                                   capsys):
+        """The number would only fail once `generate` emitted its id."""
+        params, config, vocab, run_config, metadata = load_checkpoint(session_checkpoint)
+        bad = tmp_path / "number.ckpt"
+        save_checkpoint(bad, params, config,
+                        SimpleNamespace(id_to_token=vocab.id_to_token[:-1] + [7]),
+                        run_config, metadata)
+        for args in (["generate", "--review", "love it", "--rating", 5, "--category", "GAME"],
+                     ["evaluate", "--test", corpus_file]):
+            assert run([*args, "--checkpoint", bad]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: {bad}: malformed header: vocabulary must be a JSON list of strings"]
+            assert captured.out == ""
 
     def test_generate_beam_width_above_ceiling_fails(self, session_checkpoint, capsys):
         assert run(["generate", "--checkpoint", session_checkpoint, "--review", "love it",

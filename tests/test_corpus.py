@@ -212,6 +212,15 @@ class TestVocabulary:
         vocab.save(path)
         assert C.Vocabulary.load(path).id_to_token == vocab.id_to_token
 
+    @pytest.mark.parametrize("tokens", [5, None, "⟨pad⟩", {"⟨pad⟩": 0},
+                                        [C.PAD, C.UNK, C.SOS, C.EOS, 7],
+                                        [C.PAD, C.UNK, C.SOS, C.EOS, ["x"]]])
+    def test_anything_but_a_list_of_strings_rejected(self, tmp_path, tokens):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(tokens))
+        with pytest.raises(C.CorpusError, match="JSON list of strings"):
+            C.Vocabulary.load(path)
+
 
 class TestEncodeRecord:
     def setup_method(self):

@@ -466,9 +466,10 @@ def random_batch(rng, size, vocab=20):
 
 class TestPackedMatchesPerExample:
     """Packed `forward_training` against the per-example oracle in
-    `tests/training_reference.py`, on random ragged batches: the same loss
-    and gradients within 1e-10 relative error, and the dropout generator
-    left in the same state, so the masks were drawn in the same order."""
+    `tests/training_reference.py`, fed each example's rows of the packed
+    dropout masks, on random ragged batches: the same loss and gradients
+    within 1e-10 relative error, and the dropout generator left in the same
+    state, so the masks were drawn in the same order."""
 
     @staticmethod
     def run(forward, batch, config):
@@ -491,7 +492,10 @@ class TestPackedMatchesPerExample:
             batch = random_batch(rng, size)
             loss, entries, grads, draw = self.run(M.forward_training, batch, config)
             want_loss, want_entries, want_grads, want_draw = self.run(
-                training_reference.forward_training, batch, config)
+                lambda batch, params, config, tape, rng: training_reference.forward_training(
+                    batch, params, config, tape,
+                    training_reference.PackedReplay(rng, batch, config)),
+                batch, config)
             assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
             assert draw == want_draw
             for (name, g), (_, want) in zip(grads, want_grads):
@@ -509,6 +513,57 @@ class TestPackedMatchesPerExample:
         batch = [EncodedRecord([10], [SOS_ID, 3], 4, 9), EncodedRecord([], [SOS_ID, 3], 4, 9)]
         with pytest.raises(M.ConfigError, match="at least one token"):
             M.forward_training(batch, tiny_params, tiny_config)
+
+
+class RecordingGenerator:
+    """A dropout generator that records the shape of every draw."""
+
+    def __init__(self, seed):
+        self._rng, self.shapes = np.random.default_rng(seed), []
+
+    def random(self, shape):
+        self.shapes.append(tuple(shape))
+        return self._rng.random(shape)
+
+
+class TestPackedDropoutDraws:
+    """Packed training draws one mask per dropout site over all the batch's
+    rows: the encoder's 1 + 2L sites over the fused review rows, then the
+    decoder's 1 + 3L sites over the target rows."""
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_one_draw_per_site_over_all_rows(self, variant, n_layers):
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=0.1, fusion_variant=variant)
+        batch = [EncodedRecord([10, 11, 12], [SOS_ID, 13, 3], 4, 9),
+                 EncodedRecord([15], [SOS_ID, 17, 18, 19, 3], 5, 9),
+                 EncodedRecord([12, 14, 16, 18], [SOS_ID, 3], 6, 9)]
+        rng = RecordingGenerator(0)
+        M.forward_training(batch, M.init_parameters(config), config, Tape(), rng)
+        n_s = 8 + 3 * len(M._FEATURE_SLOTS.get(variant, ()))
+        n_t = 7
+        assert rng.shapes == ([(n_s, 8)] * (1 + 2 * n_layers) +
+                              [(n_t, 8)] * (1 + 3 * n_layers))
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_one_example_matches_oracle_on_the_raw_generator(self, variant, n_layers):
+        """With one example, the packed masks are that example's own, so the
+        oracle needs no replay."""
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                               d_ff=16, max_tgt_len=10, dropout=0.1,
+                               fusion_variant=variant, seed=n_layers)
+        batch = random_batch(np.random.default_rng(n_layers), 1)
+        run = TestPackedMatchesPerExample.run
+        loss, _, grads, draw = run(M.forward_training, batch, config)
+        want_loss, _, want_grads, want_draw = run(training_reference.forward_training,
+                                                  batch, config)
+        assert abs(loss - want_loss) <= 1e-10 * abs(want_loss)
+        assert draw == want_draw
+        for (name, g), (_, want) in zip(grads, want_grads):
+            assert (g is None) == (want is None), name
+            assert g is None or np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want)), name
 
 
 class TestDecoderStep:

@@ -3,9 +3,11 @@
 `forward_training` is the teacher-forced loss as it was computed before
 packing: each example runs `encode_review`, `decoder_forward` and
 `cross_entropy_logits` on its own rows, in turn, drawing its dropout masks as
-it goes. The library's packed `forward_training` must give the same loss and
-gradients and leave the dropout generator in the same state. The model's
-functions are looked up on the module at call time, so a test can swap in
+it goes. The library's packed `forward_training` draws one mask per dropout
+site over all the batch's rows instead; `PackedReplay` hands each example its
+rows of those masks, so the two passes must give the same loss and gradients
+and leave the dropout generator in the same state. The model's functions are
+looked up on the module at call time, so a test can swap in
 `decode_reference.decoder_forward`.
 
 `adam_step` is the allocating Adam update; the library's in-place one must
@@ -35,6 +37,36 @@ def forward_training(batch, params, config, tape=None, rng=None):
     if not np.isfinite(loss.values):
         raise FloatingPointError("non-finite training loss")
     return loss
+
+
+class PackedReplay:
+    """Stands in for the dropout generator `rng` of a per-example pass over
+    `batch`, as drawn by the packed pass: the encoder's 1 + 2L sites each draw
+    one mask over all reviews' fused rows, then the decoder's 1 + 3L sites one
+    over all targets' rows. Each example's `random` calls get its rows of
+    those masks in turn; a mask is drawn when its first rows are asked for."""
+
+    def __init__(self, rng, batch, config):
+        slots = len(M._FEATURE_SLOTS.get(config.fusion_variant, ()))
+        self._layout = [([len(r.src_ids) + slots for r in batch], 1 + 2 * config.n_layers),
+                        ([len(r.tgt_ids) - 1 for r in batch], 1 + 3 * config.n_layers)]
+        self._rng, self._masks, self._calls = rng, {}, self._plan(len(batch))
+
+    def _plan(self, size):
+        for e in range(size):
+            for phase, (rows, sites) in enumerate(self._layout):
+                start = sum(rows[:e])
+                for site in range(sites):
+                    yield phase, site, slice(start, start + rows[e])
+
+    def random(self, shape):
+        phase, site, rows = next(self._calls)
+        if (phase, site) not in self._masks:
+            total = sum(self._layout[phase][0])
+            self._masks[phase, site] = self._rng.random((total, shape[-1]))
+        u = self._masks[phase, site][rows]
+        assert u.shape == tuple(shape), (u.shape, shape)
+        return u
 
 
 def adam_step(params, state):
