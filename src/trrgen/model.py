@@ -64,6 +64,10 @@ class ModelConfig:
             raise ConfigError("n_heads must be >= 1 and divide d_model")
         if self.n_layers < 1:
             raise ConfigError("n_layers must be >= 1")
+        if self.d_ff < 1:
+            raise ConfigError(f"d_ff must be >= 1, got {self.d_ff}")
+        if not 0.0 <= self.dropout < 1.0:  # NaN fails too
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.max_tgt_len < 2:
             raise ConfigError("max_tgt_len must be >= 2")
         if self.fusion_variant not in FUSION_VARIANTS:

@@ -1,14 +1,18 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 A `Tape` records every primitive applied to tensors during a forward pass.
-Calling `Tape.backward` replays the recorded entries in reverse order,
+Calling `Tape.backward` runs the recorded entries in reverse order,
 accumulating gradients into each tensor's `.grad` array. Passing `tape=None` to
 any primitive runs it in inference mode (no recording, no gradients).
 
 Every primitive records its backward rule through one helper, `_record`, and
 takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
-run the same code. Backward frees each intermediate gradient once its entry
-has run, so only leaves such as parameters keep `.grad` afterwards.
+run the same code. A rule holds only the arrays it reads, the shapes it needs
+and the gradient slots (`.grad`, shape and dtype) of its inputs and output,
+never a tensor, so an intermediate that no rule reads is freed during the
+forward pass. Backward drops each entry, with its arrays, once it has run, and
+frees each intermediate gradient once it is used, so only leaves such as
+parameters keep `.grad` afterwards.
 
 Packed rows, several sequences end to end along the row axis, are cut into
 per-sequence views by `split_rows` and joined again by `concat_rows`.
@@ -43,14 +47,34 @@ __all__ = [
 ]
 
 
-class Tensor:
-    """Dense row-major array plus an optional gradient of the same shape."""
+class _Slot:
+    """A tensor's gradient with the shape and dtype a zero gradient needs."""
 
-    __slots__ = ("values", "grad")
+    __slots__ = ("grad", "shape", "dtype")
+
+    def __init__(self, values):
+        self.grad, self.shape, self.dtype = None, values.shape, values.dtype
+
+
+class Tensor:
+    """Dense row-major array plus an optional gradient of the same shape,
+    kept in a gradient slot made when a tape first records the tensor."""
+
+    __slots__ = ("values", "_slot")
+    shape = property(lambda self: self.values.shape)
+    dtype = property(lambda self: self.values.dtype)
 
     def __init__(self, values, dtype=np.float64):
         self.values = np.asarray(values, dtype=dtype)
-        self.grad = None
+        self._slot = None
+
+    @property
+    def slot(self) -> _Slot:
+        self._slot = self._slot or _Slot(self.values)
+        return self._slot
+
+    grad = property(lambda self: None if self._slot is None else self._slot.grad,
+                    lambda self, g: setattr(self.slot, "grad", g))
 
     def zero_grad(self):
         self.grad = None
@@ -59,20 +83,20 @@ class Tensor:
         return f"Tensor(shape={self.values.shape})"
 
 
-def _accum(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+def _accum(s: _Slot, g: np.ndarray):
+    if s.grad is None:
+        s.grad = np.zeros(s.shape, s.dtype)
+    s.grad += g
 
 
-def _accum_owned(t: Tensor, g: np.ndarray):
+def _accum_owned(s: _Slot, g: np.ndarray):
     """`_accum` for a `g` that nothing else reads or writes afterwards, such
     as a fresh product: it becomes the gradient when there is none yet, with
     no zero-filled copy."""
-    if t.grad is None:
-        t.grad = g
+    if s.grad is None:
+        s.grad = g
     else:
-        t.grad += g
+        s.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -89,36 +113,47 @@ class Tape:
 
     Single-owner: build the tape, run `backward` once, read grads. Entries are
     appended in execution order, which is automatically topological.
+    `len(tape)` counts the entries recorded, also once backward has run.
     """
 
     def __init__(self):
-        self._entries = []
+        self._entries, self._recorded = [], 0
 
     def record(self, backward_fn):
         self._entries.append(backward_fn)
+        self._recorded += 1
 
     def __len__(self):
-        return len(self._entries)
+        return self._recorded
 
     def backward(self, loss: Tensor):
         """Accumulate `.grad` on every leaf tensor reachable from `loss`
-        through the tape; intermediate gradients are freed as they are used."""
+        through the tape. Each entry is dropped before it runs, so the arrays
+        its rule reads are freed once it has run, as are intermediate
+        gradients once used; a second call raises."""
         if loss.values.ndim != 0:
             raise ValueError(f"backward requires a scalar loss, got shape {loss.values.shape}")
+        if self._entries is None:
+            raise RuntimeError("backward already ran on this tape")
+        entries, self._entries = self._entries, None
         loss.grad = np.ones_like(loss.values)
-        for fn in reversed(self._entries):
-            fn()
+        while entries:
+            entries.pop()()
 
 
-def _record(tape: Tape | None, out: Tensor, grad_fn) -> Tensor:
-    """Record `grad_fn(out.grad)` on `tape`, skipped when no gradient reached
-    `out`, and free `out.grad`, which no later entry reads; returns `out`.
-    With no tape nothing is recorded."""
+def _record(tape: Tape | None, out: Tensor, rule, *inputs: Tensor) -> Tensor:
+    """Record `rule(g, *slots)` on `tape`, with `g` the gradient of `out` and
+    `slots` the gradient slots of `inputs`; the entry holds slots, not
+    tensors. It is skipped when no gradient reached `out`, and frees
+    `out.grad`, which no later entry reads. Returns `out`. With no tape
+    nothing is recorded and no slot made."""
     if tape is not None:
+        slot, slots = out.slot, [t.slot for t in inputs]
+
         def bwd():
-            g, out.grad = out.grad, None
+            g, slot.grad = slot.grad, None
             if g is not None:
-                grad_fn(g)
+                rule(g, *slots)
         tape.record(bwd)
     return out
 
@@ -137,11 +172,11 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     av = a.values.reshape(-1, shape[-1]) if rows else a.values
     out = av @ bv
 
-    def bwd(g):
-        g = g.reshape(out.shape)
-        _accum_owned(a, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
-        _accum_owned(b, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
-    return _record(tape, Tensor(out.reshape(*shape[:-1], bv.shape[1]) if rows else out), bwd)
+    def bwd(g, sa, sb):
+        g = g.reshape(len(av), bv.shape[1]) if rows else g
+        _accum_owned(sa, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
+        _accum_owned(sb, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
+    return _record(tape, Tensor(out.reshape(*shape[:-1], bv.shape[1]) if rows else out), bwd, a, b)
 
 
 def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
@@ -152,20 +187,20 @@ def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
     if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
 
-    def bwd(g):  # `a` takes `g` itself, so `b` gets a copy
-        _accum_owned(a, g)
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(g, bv.shape))
-    return _record(tape, Tensor(av + bv), bwd)
+    def bwd(g, sa, sb=None):  # `a` takes `g` itself, so `b` gets a copy
+        _accum_owned(sa, g)
+        if sb is not None:
+            _accum(sb, _unbroadcast(g, sb.shape))
+    return _record(tape, Tensor(av + bv), bwd, a, *([b] if isinstance(b, Tensor) else []))
 
 
 def scale(a: Tensor, s: float, tape: Tape | None = None) -> Tensor:
-    return _record(tape, Tensor(a.values * s), lambda g: _accum_owned(a, g * s))
+    return _record(tape, Tensor(a.values * s), lambda g, sa: _accum_owned(sa, g * s), a)
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    return _record(tape, Tensor(np.maximum(a.values, 0.0)),
-                   lambda g: _accum_owned(a, g * (a.values > 0)))
+    y = np.maximum(a.values, 0.0)  # the rule reads y > 0, bitwise the mask a > 0
+    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(sa, g * (y > 0)), a)
 
 
 def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
@@ -178,8 +213,8 @@ def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    return _record(tape, Tensor(y),
-                   lambda g: _accum_owned(a, (g - (g * y).sum(axis=axis, keepdims=True)) * y))
+    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(
+        sa, (g - (g * y).sum(axis=axis, keepdims=True)) * y), a)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -192,15 +227,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError("layer_norm gamma/beta length must equal feature dimension")
     centered = x.values - x.values.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered * inv
+    xhat, gv = centered * inv, gamma.values
 
-    def bwd(g):
-        _accum_owned(gamma, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        _accum_owned(beta, g.sum(axis=tuple(range(g.ndim - 1))))
-        gx = g * gamma.values
-        _accum_owned(x, (gx - gx.mean(axis=-1, keepdims=True)
-                         - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
-    return _record(tape, Tensor(xhat * gamma.values + beta.values), bwd)
+    def bwd(g, sx, sg, sb):
+        _accum_owned(sg, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+        _accum_owned(sb, g.sum(axis=tuple(range(g.ndim - 1))))
+        gx = g * gv
+        _accum_owned(sx, (gx - gx.mean(axis=-1, keepdims=True)
+                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
+    return _record(tape, Tensor(xhat * gv + beta.values), bwd, x, gamma, beta)
 
 
 def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
@@ -210,10 +245,10 @@ def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:
         raise ValueError("concat_rows of empty list")
     ends = np.cumsum([p.values.shape[-2] for p in parts])[:-1]
 
-    def bwd(g):
-        for p, gp in zip(parts, np.split(g, ends, axis=-2)):
-            _accum(p, gp)
-    return _record(tape, Tensor(np.concatenate([p.values for p in parts], axis=-2)), bwd)
+    def bwd(g, *slots):
+        for s, gp in zip(slots, np.split(g, ends, axis=-2)):
+            _accum(s, gp)
+    return _record(tape, Tensor(np.concatenate([p.values for p in parts], axis=-2)), bwd, *parts)
 
 
 def split_rows(x: Tensor, ends, tape: Tape | None = None, axis: int = -2) -> list[Tensor]:
@@ -223,11 +258,13 @@ def split_rows(x: Tensor, ends, tape: Tape | None = None, axis: int = -2) -> lis
     received none contributes zeros."""
     parts = [Tensor(p) for p in np.split(x.values, ends, axis=axis)]
     if tape is not None:
+        slot, slots = x.slot, [p.slot for p in parts]
+
         def bwd():
-            grads = [np.zeros_like(p.values) if p.grad is None else p.grad for p in parts]
-            for p in parts:
-                p.grad = None
-            _accum_owned(x, np.concatenate(grads, axis=axis))
+            grads = [np.zeros(s.shape, s.dtype) if s.grad is None else s.grad for s in slots]
+            for s in slots:
+                s.grad = None
+            _accum_owned(slot, np.concatenate(grads, axis=axis))
         tape.record(bwd)
     return parts
 
@@ -239,10 +276,10 @@ def split_heads(x: Tensor, d_k: int, tape: Tape | None = None,
     operand of Q Kᵀ."""
     heads = x.values.reshape(*x.values.shape[:-1], -1, d_k).swapaxes(-2, -3)
 
-    def bwd(g):
+    def bwd(g, sx):
         g = g.swapaxes(-1, -2) if keys else g
-        _accum(x, g.swapaxes(-2, -3).reshape(x.values.shape))
-    return _record(tape, Tensor(heads.swapaxes(-1, -2) if keys else heads), bwd)
+        _accum(sx, g.swapaxes(-2, -3).reshape(sx.shape))
+    return _record(tape, Tensor(heads.swapaxes(-1, -2) if keys else heads), bwd, x)
 
 
 def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
@@ -250,7 +287,8 @@ def merge_heads(x: Tensor, tape: Tape | None = None) -> Tensor:
     columns."""
     *lead, h, t, d_k = x.values.shape
     out = Tensor(x.values.swapaxes(-2, -3).reshape(*lead, t, h * d_k))
-    return _record(tape, out, lambda g: _accum(x, g.reshape(*lead, t, h, d_k).swapaxes(-2, -3)))
+    return _record(tape, out,
+                   lambda g, sx: _accum(sx, g.reshape(*lead, t, h, d_k).swapaxes(-2, -3)), x)
 
 
 def embedding_lookup(table: Tensor, ids, tape: Tape | None = None) -> Tensor:
@@ -259,11 +297,11 @@ def embedding_lookup(table: Tensor, ids, tape: Tape | None = None) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= table.values.shape[0]):
         raise IndexError(f"embedding id out of range [0, {table.values.shape[0]})")
 
-    def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.values)
-        np.add.at(table.grad, ids, g)
-    return _record(tape, Tensor(table.values[ids]), bwd)
+    def bwd(g, st):
+        if st.grad is None:
+            st.grad = np.zeros(st.shape, st.dtype)
+        np.add.at(st.grad, ids, g)
+    return _record(tape, Tensor(table.values[ids]), bwd, table)
 
 
 def dropout(x: Tensor, p: float, training: bool,
@@ -274,13 +312,16 @@ def dropout(x: Tensor, p: float, training: bool,
         return x
     if rng is None:
         raise ValueError("dropout in training mode requires an rng")
-    keep = (rng.random(x.values.shape) >= p) / (1.0 - p)
-    return _record(tape, Tensor(x.values * keep), lambda g: _accum_owned(x, g * keep))
+    keep, s = rng.random(x.values.shape) >= p, 1.0 / (1.0 - p)
+
+    def scaled(v):  # bitwise v * ((r >= p) / (1 - p)), with a bool mask
+        return np.multiply(v := v * s, keep, out=v)
+    return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum_owned(sx, scaled(g)), x)
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
     return _record(tape, Tensor(x.values.sum()),
-                   lambda g: _accum(x, np.full_like(x.values, g)))
+                   lambda g, sx: _accum(sx, np.full(sx.shape, g, sx.dtype)), x)
 
 
 def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
@@ -308,13 +349,13 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
     total = float((nll * counted).sum())
     denom = n if reduction == "mean" else 1
 
-    def bwd(g):
+    def bwd(g, sl):
         probs = np.exp(x - m)
         probs /= probs.sum(axis=1, keepdims=True)
         probs[np.arange(t_count), safe_targets] -= 1.0
         probs[~counted] = 0.0
-        _accum(logits, probs * (float(g) / denom))
-    return _record(tape, Tensor(total / denom), bwd)
+        _accum(sl, probs * (float(g) / denom))
+    return _record(tape, Tensor(total / denom), bwd, logits)
 
 
 def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
@@ -347,13 +388,13 @@ def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
     p /= s
     total = float((m[:, 0] + np.log(s[:, 0]) - picked).sum())
 
-    def bwd(g):
+    def bwd(g, sh, sw, sb):
         p[rows, targets] -= 1.0
         np.multiply(p, float(g), out=p)
-        _accum_owned(h, p @ wv.T)
-        _accum_owned(w, hv.T @ p)
-        _accum_owned(b, p.sum(axis=0))
-    return _record(tape, Tensor(total), bwd)
+        _accum_owned(sh, p @ wv.T)
+        _accum_owned(sw, hv.T @ p)
+        _accum_owned(sb, p.sum(axis=0))
+    return _record(tape, Tensor(total), bwd, h, w, b)
 
 
 # ---------------------------------------------------------------------------

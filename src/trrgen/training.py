@@ -29,7 +29,8 @@ class TrainOptions:
     stop_loss: float = 0.0   # stop early once training loss falls below
 
     def __post_init__(self):
-        rules = [("batch_size", self.batch_size >= 1, ">= 1"),
+        rules = [("epochs", self.epochs >= 1, ">= 1"),
+                 ("batch_size", self.batch_size >= 1, ">= 1"),
                  ("validate_every", self.validate_every >= 1, ">= 1"),
                  ("patience", self.patience >= 0, ">= 0"),
                  ("lr", 0 < self.lr <= sys.float_info.max, "finite and > 0"),

@@ -390,6 +390,52 @@ def test_help_still_exits_zero(capsys):
     assert "--checkpoint" in capsys.readouterr().out
 
 
+def assert_one_error_line(code, capsys, *words):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert all(word in err[0] for word in words), err
+    assert captured.out == ""
+
+
+class TestBadTrainingSettings:
+    """A bad epoch count, FFN width or dropout rate is one `error:` line naming
+    the setting, with nothing on stdout and no checkpoint written."""
+
+    @pytest.fixture
+    def vocab(self, tmp_path, corpus_file, capsys):
+        path = tmp_path / "vocab.json"
+        assert run(["build-vocab", "--input", corpus_file, "--output", path,
+                    "--min-freq", 1]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--epochs", "0", "epochs"), ("--epochs", "-1", "epochs"),
+        ("--d-ff", "0", "d_ff"), ("--d-ff", "-4", "d_ff"),
+        ("--dropout", "1.0", "dropout"), ("--dropout", "nan", "dropout"),
+        ("--dropout", "-0.5", "dropout")])
+    def test_train(self, tmp_path, corpus_file, vocab, capsys, flag, value, field):
+        ckpt = tmp_path / "model.ckpt"
+        code = run(["train", "--train", corpus_file, "--vocab", vocab, "--output", ckpt,
+                    "--d-model", 16, "--d-ff", 32, "--n-heads", 2, "--batch-size", 4,
+                    "--epochs", 1, flag, value])
+        assert_one_error_line(code, capsys, f"{field} must be")
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--epochs", "0", "epochs"), ("--d-ff", "0", "d_ff"), ("--dropout", "1.0", "dropout")])
+    def test_ablate(self, tmp_path, capsys, flag, value, field):
+        data = tmp_path / "data.jsonl"
+        write_jsonl(data, make_records(40, seed=9))
+        code = run(["ablate", "--data", data, "--variants", "vanilla",
+                    "--d-model", 16, "--d-ff", 32, "--n-heads", 2, "--batch-size", 8,
+                    "--epochs", 1, "--train-ratio", "0.6", "--valid-ratio", "0.2",
+                    "--test-ratio", "0.2", flag, value])
+        assert_one_error_line(code, capsys, f"{field} must be")
+
+
 class TestAblate:
     def test_emits_one_row_per_variant(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"

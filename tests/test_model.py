@@ -1,4 +1,6 @@
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -79,6 +81,16 @@ class TestConfig:
     def test_non_positive_d_model_rejected(self, d_model):
         with pytest.raises(M.ConfigError, match="d_model"):
             M.ModelConfig(vocab_size=10, d_model=d_model, n_heads=2)
+
+    @pytest.mark.parametrize("field,value", [("d_ff", 0), ("d_ff", -4), ("dropout", 1.0),
+                                             ("dropout", float("nan")), ("dropout", -0.5)])
+    def test_bad_d_ff_or_dropout_rejected_naming_field(self, field, value):
+        with pytest.raises(M.ConfigError, match=f"^{field} must be"):
+            M.ModelConfig(vocab_size=10, d_model=8, n_heads=2, **{field: value})
+
+    def test_boundary_d_ff_and_dropout_accepted(self):
+        M.ModelConfig(vocab_size=10, d_model=8, n_heads=2, d_ff=1, dropout=0.0)
+        M.ModelConfig(vocab_size=10, d_model=8, n_heads=2, dropout=0.999)
 
 
 class TestEmbedReview:
@@ -513,6 +525,132 @@ class TestPackedMatchesPerExample:
         batch = [EncodedRecord([10], [SOS_ID, 3], 4, 9), EncodedRecord([], [SOS_ID, 3], 4, 9)]
         with pytest.raises(M.ConfigError, match="at least one token"):
             M.forward_training(batch, tiny_params, tiny_config)
+
+
+def _reachable(fn):
+    """Every object a recorded backward closure reaches through closure
+    cells, default arguments and the items of lists, tuples and dicts."""
+    seen, stack = set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+            stack.extend(obj.__defaults__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of `a`, which may be a view."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+class TestTapeKeepsOnlyWhatRulesRead:
+    """A recorded rule holds the arrays it reads and gradient slots, never a
+    tensor, so packed training frees each intermediate that no rule reads
+    during the forward pass, and backward frees each entry once it has run."""
+
+    BATCH = TestMatchesReferenceDecoder.BATCH
+
+    @staticmethod
+    def config(variant="trrgen_concat", n_layers=1):
+        return M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=n_layers,
+                             d_ff=16, max_tgt_len=10, dropout=0.1,
+                             fusion_variant=variant, seed=n_layers)
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_no_recorded_closure_reaches_a_tensor(self, variant, n_layers, monkeypatch):
+        recorded, record = [], Tape.record
+
+        def keep(tape, backward_fn):
+            recorded.append(backward_fn)
+            record(tape, backward_fn)
+        monkeypatch.setattr(Tape, "record", keep)
+        config = self.config(variant, n_layers)
+        tape = Tape()
+        M.forward_training(self.BATCH, M.init_parameters(config), config, tape,
+                           np.random.default_rng(0))
+        assert len(recorded) == len(tape) > 0
+        for fn in recorded:
+            held = [type(obj).__name__ for obj in _reachable(fn) if isinstance(obj, Tensor)]
+            assert not held, (fn.__qualname__, held)
+
+    def traced_forward(self, monkeypatch, tape, config):
+        """Weak references to the buffers of the residual sums (LayerNorm
+        inputs), of the dropped-out sublayer outputs, of the sublayer outputs
+        before dropout and of the FFN pre-activations (ReLU inputs), and to
+        the softmax outputs, of one packed `forward_training`."""
+        refs = {"residual": [], "dropped": [], "sublayer": [], "relu_input": [],
+                "softmax": []}
+        connect, drop, soft, relu = M.sublayer_connect, M.dropout, M.softmax, M.relu
+        dropout_inputs = {}  # id of a dropout's output -> its input's buffer
+
+        def traced_connect(x, fx, norm, tape):
+            refs["dropped"].append(weakref.ref(_buffer(fx.values)))
+            refs["sublayer"].append(dropout_inputs[id(fx)])
+            real_norm = M.layer_norm
+
+            def traced_norm(x, *args):
+                refs["residual"].append(weakref.ref(_buffer(x.values)))
+                return real_norm(x, *args)
+            monkeypatch.setattr(M, "layer_norm", traced_norm)
+            try:
+                return connect(x, fx, norm, tape)
+            finally:
+                monkeypatch.setattr(M, "layer_norm", real_norm)
+
+        def traced_dropout(x, *args):
+            out = drop(x, *args)
+            dropout_inputs[id(out)] = weakref.ref(_buffer(x.values))
+            return out
+
+        def traced_softmax(a, *args, **kwargs):
+            out = soft(a, *args, **kwargs)
+            refs["softmax"].append(weakref.ref(_buffer(out.values)))
+            return out
+
+        def traced_relu(a, tape):
+            refs["relu_input"].append(weakref.ref(_buffer(a.values)))
+            return relu(a, tape)
+        monkeypatch.setattr(M, "sublayer_connect", traced_connect)
+        monkeypatch.setattr(M, "relu", traced_relu)
+        monkeypatch.setattr(M, "dropout", traced_dropout)
+        monkeypatch.setattr(M, "softmax", traced_softmax)
+        loss = M.forward_training(self.BATCH, M.init_parameters(config), config, tape,
+                                  np.random.default_rng(0))
+        return loss, refs
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_sublayer_outputs_are_freed_by_the_end_of_forward(self, n_layers, monkeypatch):
+        tape = Tape()
+        loss, refs = self.traced_forward(monkeypatch, tape, self.config(n_layers=n_layers))
+        for name in ("residual", "dropped", "sublayer", "relu_input"):
+            # 2 encoder and 3 decoder sublayers per layer, of which 2 are FFNs
+            assert len(refs[name]) == (2 if name == "relu_input" else 5) * n_layers
+            assert [r() is None for r in refs[name]] == [True] * len(refs[name]), name
+        assert all(r() is not None for r in refs["softmax"])  # read by their rules
+        tape.backward(loss)
+        assert all(r() is None for r in refs["softmax"])
+
+    def test_backward_drops_each_entry_before_running_it(self, monkeypatch):
+        """By the time backward reaches the first entry, every later entry and
+        the arrays its rule read are gone, while the tape itself lives on."""
+        tape, seen, softmax_refs = Tape(), [], []
+        tape.record(lambda: seen.append([r() is not None for r in softmax_refs]))
+        loss, refs = self.traced_forward(monkeypatch, tape, self.config(n_layers=2))
+        softmax_refs += refs["softmax"]
+        assert softmax_refs and all(r() is not None for r in softmax_refs)
+        tape.backward(loss)
+        assert seen == [[False] * len(softmax_refs)]
 
 
 class RecordingGenerator:

@@ -200,6 +200,21 @@ class TestElementwise:
         np.testing.assert_allclose(out.values[kept], 1.0 / 0.75)
         assert abs(kept.mean() - 0.75) < 0.02
 
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_bit_mask_dropout_is_the_float_mask_product(self, p):
+        """Values and gradient are bitwise x * ((r >= p) / (1 - p)) and
+        g * ((r >= p) / (1 - p)), signed zeros included, from the same draws."""
+        rng = np.random.default_rng(3)
+        x = Tensor(np.concatenate([rng.normal(size=60), [0.0, -0.0] * 10]).reshape(8, 10))
+        g = np.concatenate([[-0.0, 0.0] * 10, rng.normal(size=60)]).reshape(8, 10)
+        mask = (np.random.default_rng(4).random((8, 10)) >= p) / (1 - p)
+        tape = Tape()
+        out = dropout(x, p, True, tape, np.random.default_rng(4))
+        out.grad = g.copy()
+        tape.backward(Tensor(0.0))  # runs the one recorded entry on `out.grad`
+        assert out.values.tobytes() == (x.values * mask).tobytes()
+        assert x.grad.tobytes() == (g * mask).tobytes()
+
 
 class TestEmbedding:
     def test_lookup(self):
@@ -368,6 +383,17 @@ class TestBackward:
         assert [t.grad for t in outputs] == [None, None, None]
         assert all(p.grad is not None for p in (x, w, gamma, beta))
         assert grad_check(build, [x, w, gamma, beta]) <= 1e-6
+
+    def test_len_counts_entries_after_backward_and_a_second_backward_raises(self):
+        x = rand((3, 4), 2)
+        tape = Tape()
+        loss = sum_all(softmax(relu(x, tape), tape), tape)
+        tape.backward(loss)
+        first = x.grad.copy()
+        assert len(tape) == 3
+        with pytest.raises(RuntimeError, match="already ran"):
+            tape.backward(loss)
+        assert len(tape) == 3 and np.array_equal(x.grad, first)
 
     def test_non_scalar_loss_rejected(self):
         x = rand((2, 2))

@@ -26,6 +26,12 @@ def test_bad_option_rejected_naming_field(field, value):
         TrainOptions(**{field: value})
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_epochs_below_one_rejected(epochs):
+    with pytest.raises(ValueError, match=f"^epochs must be >= 1, got {epochs}$"):
+        TrainOptions(epochs=epochs)
+
+
 def test_boundary_options_accepted():
     TrainOptions(batch_size=1, validate_every=1, patience=0, lr=1, beta1=0.0, beta2=0.0)
 
