@@ -1,12 +1,10 @@
 """Command-line pipeline: preprocess, report-ads, build-vocab, train,
 generate, evaluate, ablate.
 
-Configuration is a flat JSON key-value file; every key can be overridden by a
-same-named command-line flag (flags win), and TRRGEN_SEED overrides the seed.
-`generate` and `evaluate` take the model and training settings from the
-checkpoint and reject flags for them.
-All machine outputs are UTF-8 JSON-Lines. Failures exit nonzero with a single
-"error: ..." line on stderr.
+Configuration is a flat JSON file that may hold any setting; a command takes
+a same-named flag (flags win) only for the settings of the dataclasses it
+builds (`ACCEPTS`), and TRRGEN_SEED overrides the seed. All machine outputs
+are UTF-8 JSON-Lines. Failures exit nonzero with one "error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +26,7 @@ from .model import ModelConfig, FUSION_VARIANTS
 from .training import TrainOptions, train_model
 
 
-@dataclass
+@dataclasses.dataclass
 class PipelineConfig:
     """The CLI's own settings: the vocabulary cut-off and the corpus split."""
 
@@ -114,21 +111,40 @@ def build(cls, cfg: dict, **extra):
     return cls(**{**values, **extra})
 
 
-# Settings that `generate` and `evaluate` read from the checkpoint or never
-# use; a flag for one of them there would be silently ignored.
-MODEL_AND_TRAINING_KEYS = ({f.name for f in dataclasses.fields(ModelConfig)}
-                           | {f.name for f in dataclasses.fields(TrainOptions)})
+def _keys(*classes) -> frozenset:
+    return frozenset(SETTINGS).intersection(_key(cls, f.name) for cls in classes
+                                            for f in dataclasses.fields(cls))
 
 
-def _config_from_args(args, reject=frozenset()) -> dict:
-    """The run's settings; a flag naming a key in `reject` is an error,
-    while the same key in the `--config` file is allowed."""
+# The settings each command takes flags for: those of the dataclasses its `cmd_*`
+# builds, read or not. `generate` and `evaluate` take the model from the
+# checkpoint, and `ablate` sets `fusion_variant` from `--variants`.
+ACCEPTS = {"preprocess": _keys(C.PreprocessConfig), "report-ads": _keys(C.PreprocessConfig),
+           "build-vocab": frozenset({"min_freq"}),
+           "train": _keys(ModelConfig, C.PreprocessConfig, TrainOptions),
+           **dict.fromkeys(["generate", "evaluate"], _keys(DecodeConfig, C.PreprocessConfig)),
+           "ablate": frozenset(SETTINGS) - {"fusion_variant"}}
+
+
+def _config_from_args(args) -> dict:
+    """The run's settings. A flag for a setting outside the command's
+    `ACCEPTS` entry is an error; the same key in the `--config` file is not."""
     flags = {key: getattr(args, key) for key in SETTINGS if getattr(args, key) is not None}
-    given = [_flag(key) for key in flags if key in reject]
-    if given:
-        raise CliError(f"{args.command} takes model and training settings from the "
-                       f"checkpoint; it does not accept {', '.join(given)}")
+    foreign = [_flag(key) for key in flags if key not in ACCEPTS[args.command]]
+    if foreign:
+        raise CliError(f"{args.command} does not accept {', '.join(foreign)}")
     return load_settings(args.config, flags)
+
+
+def _training_settings(cfg: dict, **model):
+    """`train`'s and `ablate`'s settings objects, built and checked before any
+    file is read; `vocab_size` is filled in once the vocabulary is known."""
+    pre_cfg, opts = build(C.PreprocessConfig, cfg), build(TrainOptions, cfg)
+    model_cfg = build(ModelConfig, cfg, vocab_size=0, **model)
+    if pre_cfg.max_response_tokens - 1 > model_cfg.max_tgt_len:  # decoder input length
+        raise CliError(f"--max-response-tokens {pre_cfg.max_response_tokens} needs --max-tgt-len "
+                       f"{pre_cfg.max_response_tokens - 1} or more, got {model_cfg.max_tgt_len}")
+    return pre_cfg, opts, model_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +188,13 @@ def _encode_all(records, vocab, pre_cfg):
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    pre_cfg, opts = build(C.PreprocessConfig, cfg), build(TrainOptions, cfg)
+    pre_cfg, opts, model_cfg = _training_settings(cfg)
     vocab = C.Vocabulary.load(args.vocab)
     train_recs = _encode_all(C.load_corpus(args.train), vocab, pre_cfg)
     valid_recs = []
     if args.valid:
         valid_recs = _encode_all(C.load_corpus(args.valid), vocab, pre_cfg)
-    model_cfg = build(ModelConfig, cfg, vocab_size=len(vocab))
+    model_cfg = dataclasses.replace(model_cfg, vocab_size=len(vocab))
 
     with open(args.log or os.devnull, "w", encoding="utf-8") as log_fh:
         def log_fn(entry):
@@ -197,7 +213,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
+    cfg = _config_from_args(args)
     decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
 
@@ -240,7 +256,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args, reject=MODEL_AND_TRAINING_KEYS)
+    cfg = _config_from_args(args)
     decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
     params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
     records = C.load_corpus(args.test)
@@ -256,11 +272,9 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     variants = args.variants.split(",") if args.variants else list(FUSION_VARIANTS)
-    for v in variants:
-        if v not in FUSION_VARIANTS:
-            raise CliError(f"unknown fusion variant {v!r}")
-    pre_cfg, opts, decode = (build(C.PreprocessConfig, cfg), build(TrainOptions, cfg),
-                             build(DecodeConfig, cfg))
+    pre_cfg, opts, model_cfg = _training_settings(cfg, fusion_variant=variants[0])
+    configs = [dataclasses.replace(model_cfg, fusion_variant=v) for v in variants]  # checks each
+    decode = build(DecodeConfig, cfg)
     records = C.normalize_corpus(C.load_corpus(args.data), pre_cfg)
     train, valid, test = C.split_corpus(records, cfg["seed"], (cfg["train_ratio"],
                                         cfg["valid_ratio"], cfg["test_ratio"]))
@@ -269,29 +283,23 @@ def cmd_ablate(args) -> int:
     test_resp = [r.response_text for r in test]
 
     reports = []
-    for variant in variants:
-        model_cfg = build(ModelConfig, cfg, vocab_size=len(vocab), fusion_variant=variant)
+    for config in configs:
+        config = dataclasses.replace(config, vocab_size=len(vocab))
         with np.errstate(over="ignore", invalid="ignore"):
-            result = train_model(train_e, valid_e, model_cfg, opts)
-        report = evaluate_model(result.params, model_cfg, vocab, test_e, test_resp,
-                                decode, label=variant)
-        reports.append(report)
-        print(report.to_json())
+            result = train_model(train_e, valid_e, config, opts)
+        reports.append(evaluate_model(result.params, config, vocab, test_e, test_resp, decode,
+                                      label=config.fusion_variant))
+        print(reports[-1].to_json())
 
     if args.baseline:
-        baseline = random_selection_baseline([r.response_text for r in train],
-                                             len(test), cfg["seed"])
-        report = corpus_bleu([C.tokenize(c) for c in baseline],
-                             [C.tokenize(r) for r in test_resp],
-                             label="random_selection")
-        reports.append(report)
-        print(report.to_json())
+        baseline = random_selection_baseline([r.response_text for r in train], len(test),
+                                             cfg["seed"])
+        reports.append(corpus_bleu([C.tokenize(c) for c in baseline],
+                                   [C.tokenize(r) for r in test_resp], label="random_selection"))
+        print(reports[-1].to_json())
 
     print(format_report_table(reports), file=sys.stderr)
     return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,24 +312,16 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Feature-fused transformer for review response generation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", help="normalize a corpus (and optionally drop ad sentences)")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p.add_argument("--blocklist", help="ad-expression blocklist file")
-    p.set_defaults(fn=cmd_preprocess)
-
-    p = sub.add_parser("report-ads", help="rank candidate ad expressions by frequency")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output")
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p.set_defaults(fn=cmd_report_ads)
-
-    p = sub.add_parser("build-vocab", help="build a vocabulary from a preprocessed corpus")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
-    p.set_defaults(fn=cmd_build_vocab)
+    for name, fn, what in [
+            ("preprocess", cmd_preprocess, "normalize a corpus (and optionally drop ad sentences)"),
+            ("report-ads", cmd_report_ads, "rank candidate ad expressions by frequency"),
+            ("build-vocab", cmd_build_vocab, "build a vocabulary from a preprocessed corpus")]:
+        p = sub.add_parser(name, help=what)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=name != "report-ads")
+        p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+        p.set_defaults(fn=fn)
+    sub.choices["preprocess"].add_argument("--blocklist", help="ad-expression blocklist file")
 
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--train", required=True)

@@ -503,6 +503,25 @@ SETTINGS_AT_ORIGIN = {
 DEFAULTS = {key: default for key, (default, _) in SETTINGS_AT_ORIGIN.items()}
 COMPONENTS = (ModelConfig, PreprocessConfig, TrainOptions, DecodeConfig, cli.PipelineConfig)
 
+# The settings each command takes flags for, written out so that the tests do
+# not read the table they check: the keys of the dataclasses the command
+# builds, whether or not it reads them.
+PREPROCESS_KEYS = {"lowercase", "ad_ngram_n", "ad_flag_threshold", "max_review_tokens",
+                   "max_response_tokens"}
+DECODE_KEYS = {"strategy", "beam_width", "decode_max_len", "length_penalty"}
+MODEL_KEYS = {"d_model", "n_heads", "n_layers", "d_ff", "max_tgt_len", "fusion_variant",
+              "dropout", "seed"}
+TRAIN_OPTION_KEYS = {"lr", "beta1", "beta2", "adam_eps", "batch_size", "epochs", "patience",
+                     "validate_every", "seed"}
+ACCEPTED = {"preprocess": PREPROCESS_KEYS, "report-ads": PREPROCESS_KEYS,
+            "build-vocab": {"min_freq"},
+            "train": MODEL_KEYS | PREPROCESS_KEYS | TRAIN_OPTION_KEYS,
+            "generate": DECODE_KEYS | PREPROCESS_KEYS, "evaluate": DECODE_KEYS | PREPROCESS_KEYS,
+            "ablate": set(SETTINGS_AT_ORIGIN) - {"fusion_variant"}}
+FOREIGN = {command: sorted(set(SETTINGS_AT_ORIGIN) - keys) for command, keys in ACCEPTED.items()}
+ACCEPTED_PAIRS = [(command, key) for command, keys in ACCEPTED.items() for key in sorted(keys)]
+FOREIGN_PAIRS = [(command, key) for command, keys in FOREIGN.items() for key in keys]
+
 
 class TestSettingsTable:
     def test_keys_defaults_and_types(self):
@@ -663,8 +682,10 @@ def test_any_batch_file_generates_or_is_one_error_line(session_checkpoint, lines
             assert "Traceback" not in err.getvalue()
 
 
-# Settings that `generate` and `evaluate` read; a flag for any other is rejected.
-RUN_KEYS = sorted(set(SETTINGS_AT_ORIGIN) - cli.MODEL_AND_TRAINING_KEYS)
+def flag_of(key):
+    return "--" + key.replace("_", "-")
+
+
 FLAG_TEXT = {"int": st.integers(-1, 6).map(str),
              "float": st.sampled_from(["0", "0.5", "1", "2.5", "-1", "11", "1e400", "nan"]),
              "str": st.sampled_from(["greedy", "beam", "vanilla", "sampling"]),
@@ -678,15 +699,29 @@ def one_in_four(rare, common):
     return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
 
 
-def settings_flags(keys):
-    """Up to four flags for `keys`; one value in four is malformed text, and
-    the rest are of the key's own type, valid or out of range."""
-    return st.lists(st.sampled_from(keys).flatmap(lambda key: st.tuples(
-        st.just(cli._flag(key)),
-        one_in_four(MALFORMED_TEXT, FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]]))), max_size=4).map(dict)
+def flag_value(key):
+    """A flag's text for `key`: one time in four malformed, else of the key's
+    own type, valid or out of range."""
+    return one_in_four(MALFORMED_TEXT, FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]])
 
 
-RUN_FLAGS = settings_flags(RUN_KEYS)
+def command_flags(commands):
+    """A command from `commands`; up to four flags for settings it takes; and
+    one time in four a flag for a setting it does not take, with a value of
+    the key's own type, else None."""
+    return st.sampled_from(commands).flatmap(lambda command: st.tuples(
+        st.just(command),
+        st.lists(st.sampled_from(sorted(ACCEPTED[command])).flatmap(
+            lambda key: st.tuples(st.just(flag_of(key)), flag_value(key))), max_size=4).map(dict),
+        one_in_four(st.sampled_from(FOREIGN[command]).flatmap(lambda key: st.tuples(
+            st.just(flag_of(key)), FLAG_TEXT[SETTINGS_AT_ORIGIN[key][1]])), st.none())))
+
+
+def assert_foreign_flag_named(errors, command, flag):
+    """The run ended at the flag check, unless argparse had already refused
+    a malformed value (such as `--x`) of a flag the command takes."""
+    if not errors[0].startswith(f"error: trrgen {command}: argument "):
+        assert errors == [f"error: {command} does not accept {flag}"]
 
 
 @pytest.fixture(scope="session")
@@ -696,76 +731,172 @@ def held_out_corpus(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="session")
+def session_files(session_checkpoint, held_out_corpus):
+    """The session checkpoint, the corpus and vocabulary it was trained from,
+    and a two-review held-out corpus."""
+    return SimpleNamespace(checkpoint=session_checkpoint, test=held_out_corpus,
+                           corpus=session_checkpoint.parent / "corpus.jsonl",
+                           vocab=session_checkpoint.parent / "vocab.json")
+
+
+def missing_files(tmp_path):
+    missing = tmp_path / "missing"
+    return SimpleNamespace(checkpoint=missing, test=missing, corpus=missing, vocab=missing)
+
+
+# Small model and one epoch, so that a run is quick unless a later flag
+# overrides them.
+TINY_MODEL = ["--d-model", "8", "--d-ff", "16", "--n-heads", "2", "--epochs", "1",
+              "--batch-size", "4"]
+
+
+def command_line(command, files, out):
+    """A quick run of `command` on `files`, writing `out` where it writes a
+    file (`report-ads` prints its TSV instead)."""
+    return [str(a) for a in {
+        "preprocess": ["preprocess", "--input", files.corpus, "--output", out],
+        "report-ads": ["report-ads", "--input", files.corpus],
+        "build-vocab": ["build-vocab", "--input", files.corpus, "--output", out],
+        "train": ["train", "--train", files.corpus, "--vocab", files.vocab, "--output", out,
+                  *TINY_MODEL],
+        "generate": ["generate", "--checkpoint", files.checkpoint, "--review", "love this app",
+                     "--rating", "4", "--category", "TOOLS"],
+        "evaluate": ["evaluate", "--checkpoint", files.checkpoint, "--test", files.test],
+        "ablate": ["ablate", "--data", files.corpus, "--variants", "trrgen_order",
+                   "--train-ratio", "0.6", "--valid-ratio", "0.2", "--test-ratio", "0.2",
+                   *TINY_MODEL, "--decode-max-len", "4"]}[command]]
+
+
+def valid_text(key):
+    """A valid flag value for `key`: its default, or 4 for `decode_max_len`."""
+    default = SETTINGS_AT_ORIGIN[key][0]
+    return "4" if default is None else "true" if default is True else str(default)
+
+
+class TestFlagsPerCommand:
+    def test_table_sizes(self):
+        """Seven commands by 29 settings: 78 pairs are taken, 125 are not."""
+        assert len(ACCEPTED) == 7 and len(ACCEPTED_PAIRS) == 78 and len(FOREIGN_PAIRS) == 125
+
+    @pytest.mark.parametrize("command,key", FOREIGN_PAIRS)
+    def test_foreign_flag_is_one_error_line(self, session_files, tmp_path, capsys, command, key):
+        """A flag for a setting the command does not take, even with a valid
+        value, ends the run before it writes anything."""
+        out = tmp_path / "out"
+        args = command_line(command, session_files, out)
+        args += ["--output", str(out)] if command == "report-ads" else []
+        code = run(args + [flag_of(key), valid_text(key)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [f"error: {command} does not accept {flag_of(key)}"]
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command,key", ACCEPTED_PAIRS)
+    def test_accepted_flag_reaches_the_input_files(self, tmp_path, capsys, command, key):
+        """Each flag a command takes passes the flag check and the settings
+        checks: with its input files missing, the run ends at the first one."""
+        files = missing_files(tmp_path)
+        code = run(command_line(command, files, tmp_path / "out") + [flag_of(key), valid_text(key)])
+        assert_one_error_line(code, capsys, "No such file", str(files.corpus))
+
+    @pytest.mark.parametrize("command", sorted(ACCEPTED))
+    def test_shared_config_with_every_setting_runs(self, session_files, tmp_path, capsys,
+                                                   command):
+        """A `--config` file may hold any setting, for any command."""
+        cfg = tmp_path / "shared.json"
+        cfg.write_text(json.dumps({**DEFAULTS, "d_model": 8, "d_ff": 16, "n_heads": 2,
+                                   "epochs": 1, "batch_size": 4, "decode_max_len": 4}))
+        assert run(command_line(command, session_files, tmp_path / "out")
+                   + ["--config", str(cfg)]) == 0
+        assert "error:" not in capsys.readouterr().err
+
+
+class TestTrainingSettingsFirst:
+    """`train` and `ablate` check their settings before they open a file."""
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flags,words", [
+        (["--d-ff", "0"], ["error: d_ff must be >= 1, got 0"]),
+        (["--dropout", "1.5"], ["dropout must be"]),
+        (["--n-heads", "3"], ["n_heads must"]),
+        (["--epochs", "0"], ["epochs must be"]),
+        (["--max-response-tokens", "200"],
+         ["error: --max-response-tokens 200 needs --max-tgt-len 199 or more, got 120"]),
+        (["--max-tgt-len", "50"],
+         ["error: --max-response-tokens 120 needs --max-tgt-len 119 or more, got 50"])])
+    def test_bad_setting_with_missing_files(self, tmp_path, capsys, command, flags, words):
+        files = missing_files(tmp_path)
+        out = tmp_path / "out"
+        assert_one_error_line(run(command_line(command, files, out) + flags), capsys, *words)
+        assert not out.exists()
+
+    def test_longest_response_fills_max_tgt_len(self, tmp_path, capsys):
+        """A response cut to `max_response_tokens` is a decoder input of one
+        position fewer: `--max-tgt-len 10` trains with 11 response tokens, and
+        12 are rejected before the corpus is read."""
+        records = make_records(8, seed=4)
+        records[0].response_text = " ".join(["thanks"] * 30)
+        data, vocab, ckpt = tmp_path / "long.jsonl", tmp_path / "vocab.json", tmp_path / "m.ckpt"
+        write_jsonl(data, records)
+        assert run(["build-vocab", "--input", data, "--output", vocab, "--min-freq", 1]) == 0
+        capsys.readouterr()
+        train = ["train", "--train", data, "--vocab", vocab, "--output", ckpt, *TINY_MODEL,
+                 "--max-tgt-len", 10]
+        assert_one_error_line(run(train + ["--max-response-tokens", 12]), capsys,
+                              "--max-tgt-len 11 or more, got 10")
+        assert not ckpt.exists()
+        assert run(train + ["--max-response-tokens", 11]) == 0
+        assert capsys.readouterr().err == "" and ckpt.exists()
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["generate", "evaluate"]), RUN_FLAGS,
-       one_in_four(st.sampled_from(sorted(cli.MODEL_AND_TRAINING_KEYS)), st.none()))
-def test_any_settings_flags_run_or_are_one_error_line(session_checkpoint, held_out_corpus,
-                                                      command, flags, rejected):
-    """`generate` and `evaluate` with any settings flags, each value valid or
-    malformed, either exit 0 with output or exit 1 with a single `error:`
-    line and no traceback."""
-    args = [command, "--checkpoint", str(session_checkpoint)]
-    args += (["--review", "love this app", "--rating", "4", "--category", "TOOLS"]
-             if command == "generate" else ["--test", str(held_out_corpus)])
-    for flag, text in flags.items():
+@given(command_flags(["generate", "evaluate"]))
+def test_any_settings_flags_run_or_are_one_error_line(session_files, drawn):
+    """`generate` and `evaluate` with any flags for the settings they take,
+    each value valid or malformed, either exit 0 with output or exit 1 with
+    a single `error:` line and no traceback; a flag for a setting they do not
+    take always ends in exit 1 and names that flag."""
+    command, flags, foreign = drawn
+    args = command_line(command, session_files, None)
+    for flag, text in [*flags.items(), *([foreign] if foreign else [])]:
         args += [flag, text]
-    if rejected is not None:
-        args += [cli._flag(rejected), "1"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(args)
     event(f"{command} exit {code}")
     if code == 0:
-        assert out.getvalue() and err.getvalue() == "" and rejected is None
+        assert out.getvalue() and err.getvalue() == "" and foreign is None
     else:
         assert code == 1
         errors = err.getvalue().splitlines()
         assert len(errors) == 1 and errors[0].startswith("error: "), errors
         assert "Traceback" not in err.getvalue() and out.getvalue() == ""
-
-
-@pytest.fixture(scope="session")
-def session_corpus(session_checkpoint):
-    """The corpus and vocabulary the session checkpoint was trained from."""
-    return session_checkpoint.parent / "corpus.jsonl", session_checkpoint.parent / "vocab.json"
-
-
-# Small model, one epoch and short decodes, so that a run is quick unless a
-# drawn flag overrides them; the drawn flags come later and win.
-TINY_RUN = ["--d-model", "8", "--d-ff", "16", "--n-heads", "2", "--epochs", "1",
-            "--batch-size", "4", "--decode-max-len", "4"]
-
-
-def settings_command(command, corpus, vocab, out):
-    return {"train": ["train", "--train", corpus, "--vocab", vocab, "--output", out] + TINY_RUN,
-            "ablate": ["ablate", "--data", corpus, "--variants", "trrgen_order",
-                       "--train-ratio", "0.6", "--valid-ratio", "0.2", "--test-ratio", "0.2"]
-                      + TINY_RUN,
-            "preprocess": ["preprocess", "--input", corpus, "--output", out],
-            "report-ads": ["report-ads", "--input", corpus],
-            "build-vocab": ["build-vocab", "--input", corpus, "--output", out]}[command]
+        if foreign:
+            assert_foreign_flag_named(errors, command, foreign[0])
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(["train", "ablate", "preprocess", "report-ads", "build-vocab"]),
-       settings_flags(sorted(SETTINGS_AT_ORIGIN)))
-def test_any_settings_flags_train_or_are_one_error_line(session_corpus, command, flags):
-    """`train`, `ablate` and the corpus commands, which read every setting,
-    with any settings flags, each value valid or malformed, either exit 0
-    with output or exit 1 with a single `error:` line, no traceback and, for
-    `train`, no checkpoint. `report-ads` output is TSV lines, none when no
-    response sentence is `--ad-ngram-n` tokens long."""
+@given(command_flags(["train", "ablate", "preprocess", "report-ads", "build-vocab"]))
+def test_any_settings_flags_train_or_are_one_error_line(session_files, drawn):
+    """`train`, `ablate` and the corpus commands with any flags for the
+    settings they take, each value valid or malformed, either exit 0 with
+    output or exit 1 with a single `error:` line, no traceback and no output
+    file; a flag for a setting they do not take always ends in exit 1 and
+    names that flag. `report-ads` output is TSV lines, none when no response
+    sentence is `--ad-ngram-n` tokens long."""
+    command, flags, foreign = drawn
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
-        args = [str(a) for a in settings_command(command, *session_corpus, out)]
-        for flag, text in flags.items():
+        args = command_line(command, session_files, out)
+        for flag, text in [*flags.items(), *([foreign] if foreign else [])]:
             args += [flag, text]
         stdout, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(err):
             code = main(args)
         event(f"{command} exit {code}")
         if code == 0:
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err.getvalue() and foreign is None
             if command == "report-ads":
                 for line in stdout.getvalue().splitlines():
                     count, expression, flagged = line.split("\t")
@@ -778,3 +909,5 @@ def test_any_settings_flags_train_or_are_one_error_line(session_corpus, command,
             errors = err.getvalue().splitlines()
             assert len(errors) == 1 and errors[0].startswith("error: "), errors
             assert "Traceback" not in err.getvalue() and not os.path.exists(out)
+            if foreign:
+                assert_foreign_flag_named(errors, command, foreign[0])
