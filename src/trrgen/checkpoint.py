@@ -48,23 +48,23 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for _, t in named:
-            raw = np.ascontiguousarray(t.values, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
+        for _, t in named:  # no copy on a little-endian host
+            raw = np.ascontiguousarray(t.values, dtype="<f8")
+            fh.write(struct.pack("<Q", raw.nbytes))
+            fh.write(memoryview(raw).cast("B"))
 
 
 def load_checkpoint(path):
     """Returns (params, config, vocab, run_config, metadata); bitwise round trip.
     A tensor holding a NaN or infinite value is rejected, since no model
-    with one decodes."""
+    with one decodes. Each tensor block is read in place into its array."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read(n, what):
+        def read(n, what, into=None):
             if n > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated {what}")
-            return fh.read(n)
+            return fh.read(n) if into is None else fh.readinto(into)
 
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
@@ -96,8 +96,8 @@ def load_checkpoint(path):
             if nbytes != t.values.nbytes:
                 raise CheckpointError(f"{path}: tensor {name} block is {nbytes} bytes, "
                                       f"expected {t.values.nbytes}")
-            raw = read(nbytes, f"tensor {name}")
-            t.values = np.frombuffer(raw, dtype="<f8").reshape(t.values.shape).astype(np.float64)
+            read(nbytes, f"tensor {name}", t.values)
+            t.values = t.values.view("<f8").astype(np.float64, copy=False)  # converts if big-endian
             if not np.isfinite(t.values).all():
                 raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
         if fh.tell() != size:

@@ -36,6 +36,13 @@ class PipelineConfig:
     test_ratio: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        C.check_split_ratios(self.ratios)
+
+    @property
+    def ratios(self) -> tuple[float, float, float]:
+        return self.train_ratio, self.valid_ratio, self.test_ratio
+
 
 def _key(cls, name: str) -> str:
     return "decode_max_len" if (cls, name) == (DecodeConfig, "max_len") else name
@@ -274,11 +281,11 @@ def cmd_ablate(args) -> int:
     variants = args.variants.split(",") if args.variants else list(FUSION_VARIANTS)
     pre_cfg, opts, model_cfg = _training_settings(cfg, fusion_variant=variants[0])
     configs = [dataclasses.replace(model_cfg, fusion_variant=v) for v in variants]  # checks each
-    decode = build(DecodeConfig, cfg)
+    decode, pipe = build(DecodeConfig, cfg), build(PipelineConfig, cfg)
+    decode.length_cap(model_cfg)  # checked before the first variant trains
     records = C.normalize_corpus(C.load_corpus(args.data), pre_cfg)
-    train, valid, test = C.split_corpus(records, cfg["seed"], (cfg["train_ratio"],
-                                        cfg["valid_ratio"], cfg["test_ratio"]))
-    vocab = C.build_vocabulary(train, min_freq=cfg["min_freq"])
+    train, valid, test = C.split_corpus(records, pipe.seed, pipe.ratios)
+    vocab = C.build_vocabulary(train, min_freq=pipe.min_freq)
     train_e, valid_e, test_e = (_encode_all(s, vocab, pre_cfg) for s in (train, valid, test))
     test_resp = [r.response_text for r in test]
 
@@ -293,7 +300,7 @@ def cmd_ablate(args) -> int:
 
     if args.baseline:
         baseline = random_selection_baseline([r.response_text for r in train], len(test),
-                                             cfg["seed"])
+                                             pipe.seed)
         reports.append(corpus_bleu([C.tokenize(c) for c in baseline],
                                    [C.tokenize(r) for r in test_resp], label="random_selection"))
         print(reports[-1].to_json())

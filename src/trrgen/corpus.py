@@ -374,11 +374,15 @@ def encode_record(record: ReviewRecord, vocab: Vocabulary,
 # splitting
 
 
+def check_split_ratios(ratios: tuple[float, float, float]):
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # `not <=`, so a NaN ratio fails too
+        raise CorpusError(f"split ratios must sum to 1, got {ratios}")
+
+
 def split_corpus(records: list[ReviewRecord], seed: int,
                  ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)):
     """Seed-deterministic shuffle into disjoint, exhaustive (train, valid, test)."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise CorpusError(f"split ratios must sum to 1, got {ratios}")
+    check_split_ratios(ratios)
     idx = list(range(len(records)))
     random.Random(seed).shuffle(idx)
     n = len(records)

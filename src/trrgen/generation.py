@@ -56,6 +56,15 @@ class DecodeConfig:
         """Live hypotheses per review: `beam_width` for beam, 1 for greedy."""
         return self.beam_width if self.strategy == "beam" else 1
 
+    def length_cap(self, config: ModelConfig) -> int:
+        """Decoding steps under `config`: `max_len`, or `max_tgt_len - 1`
+        when unset; a ConfigError when `max_len` exceeds `max_tgt_len - 1`."""
+        max_len = self.max_len if self.max_len is not None else config.max_tgt_len - 1
+        if max_len > config.max_tgt_len - 1:
+            raise ConfigError(f"decode max_len {max_len} exceeds max_tgt_len - 1 "
+                              f"= {config.max_tgt_len - 1}")
+        return max_len
+
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
     """Log-softmax of each row (last axis)."""
@@ -98,11 +107,7 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutp
     Returns each review's winner without ⟨sos⟩; it ends in ⟨eos⟩ unless
     decoding stopped at the length cap.
     """
-    max_len = decode.max_len if decode.max_len is not None else config.max_tgt_len - 1
-    if max_len > config.max_tgt_len - 1:
-        raise ConfigError(f"decode max_len {max_len} exceeds max_tgt_len - 1 "
-                          f"= {config.max_tgt_len - 1}")
-    width = decode.width
+    max_len, width = decode.length_cap(config), decode.width
     live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
     finished: list[list[tuple[list[int], float]]] = [[] for _ in encs]
     active = list(range(len(encs)))  # unfinished reviews, in row order

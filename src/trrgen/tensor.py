@@ -16,9 +16,10 @@ parameters keep `.grad` afterwards.
 
 Packed rows, several sequences end to end along the row axis, are cut into
 per-sequence views by `split_rows` and joined again by `concat_rows`.
-`linear_cross_entropy` is the output layer and its loss in one primitive: a
-single [N, V] buffer holds the logits, then the probabilities, then the
-gradient of the logits, and no logits tensor is kept on the tape.
+`linear_cross_entropy` is the output layer and its loss in one primitive that
+never holds the [N, V] logits: row chunks run in turn through one [R, V]
+buffer, and with a tape each chunk's gradient is taken in the forward pass,
+so the tape keeps only dh, dw and db for backward to scale.
 """
 
 from __future__ import annotations
@@ -358,16 +359,21 @@ def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
     return _record(tape, Tensor(total / denom), bwd, logits)
 
 
+_CE_ROWS, _CE_COLS = 256, 1024  # rows per logits chunk; columns per dw block
+
+
 def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
                          tape: Tape | None = None) -> Tensor:
     """Summed negative log-softmax probability of `targets` [N] under the
     logits h @ w + b, for [N, d] rows `h`, a [d, V] `w` and a [V] `b`.
 
     The same value as `add(matmul(h, w), b)` followed by
-    `cross_entropy_logits(..., reduction="sum")`, from one GEMM into a single
-    [N, V] buffer: the bias is added and the softmax taken in place, and
-    backward turns it into the logits' gradient in place and writes dh, dw
-    and db from it. Targets outside [0, V) are a ValueError.
+    `cross_entropy_logits(..., reduction="sum")`, without the [N, V] logits:
+    chunks of `_CE_ROWS` rows run in turn through one [R, V] buffer, which
+    holds a chunk's logits, then its probabilities. With a tape, each chunk
+    then becomes its rows of the logits' gradient in place, which writes its
+    rows of dh and adds its share to dw (in `_CE_COLS` column blocks) and db;
+    backward only scales them. Targets outside [0, V) are a ValueError.
     """
     hv, wv = h.values, w.values
     targets = np.asarray(targets, dtype=np.int64)
@@ -377,23 +383,31 @@ def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
                          f"got {hv.shape} and {targets.shape}")
     if n and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target id out of range [0, {v})")
-    rows = np.arange(n)
-    p = hv @ wv
-    p += b.values
-    picked = p[rows, targets]
-    m = p.max(axis=1, keepdims=True)
-    p -= m
-    np.exp(p, out=p)
-    s = p.sum(axis=1, keepdims=True)
-    p /= s
-    total = float((m[:, 0] + np.log(s[:, 0]) - picked).sum())
+    if tape is not None:
+        dh, dw, db = np.empty_like(hv), np.zeros_like(wv), np.zeros_like(b.values)
+    buf, total = np.empty((min(n, _CE_ROWS), v), np.result_type(hv, wv)), 0.0
+    for i in range(0, n, _CE_ROWS):
+        hc, tc = hv[i:i + _CE_ROWS], targets[i:i + _CE_ROWS]
+        rows, p = np.arange(len(hc)), np.matmul(hc, wv, out=buf[:len(hc)])
+        p += b.values
+        picked = p[rows, tc]
+        m = p.max(axis=1, keepdims=True)
+        p -= m
+        np.exp(p, out=p)
+        s = p.sum(axis=1, keepdims=True)
+        total += float((m[:, 0] + np.log(s[:, 0]) - picked).sum())
+        if tape is not None:
+            p /= s
+            p[rows, tc] -= 1.0
+            np.matmul(p, wv.T, out=dh[i:i + _CE_ROWS])
+            for j in range(0, v, _CE_COLS):
+                dw[:, j:j + _CE_COLS] += hc.T @ p[:, j:j + _CE_COLS]
+            db += p.sum(axis=0)
 
     def bwd(g, sh, sw, sb):
-        p[rows, targets] -= 1.0
-        np.multiply(p, float(g), out=p)
-        _accum_owned(sh, p @ wv.T)
-        _accum_owned(sw, hv.T @ p)
-        _accum_owned(sb, p.sum(axis=0))
+        for grad, slot in ((dh, sh), (dw, sw), (db, sb)):
+            grad *= float(g)
+            _accum_owned(slot, grad)
     return _record(tape, Tensor(total), bwd, h, w, b)
 
 

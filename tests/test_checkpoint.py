@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,3 +159,32 @@ def test_non_finite_tensor_rejected_by_name(tmp_path, setup, bad):
     save_checkpoint(path, params, config, vocab)
     with pytest.raises(CheckpointError, match=rf"tensor {bad[0][0]} holds a NaN or infinite"):
         load_checkpoint(path)
+
+
+def traced_peak(fn):
+    """`fn()`'s result and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_make_no_tensor_copies(tmp_path, setup):
+    """A save writes each tensor's own buffer, and a load reads each block
+    straight into the array it returns. The slack is half the largest tensor
+    (2 MiB at `d_ff` 2,048), so a second copy of it breaks either bound."""
+    _, _, vocab = setup
+    config = ModelConfig(vocab_size=len(vocab), d_model=128, n_heads=2, n_layers=1,
+                         d_ff=2048, max_tgt_len=16, dropout=0.0, seed=5)
+    params = init_parameters(config, seed=5)
+    largest = max(t.values.nbytes for _, t in params.named())
+    total = sum(t.values.nbytes for _, t in params.named())
+    slack = largest // 2
+    path = tmp_path / "model.ckpt"
+    _, peak = traced_peak(lambda: save_checkpoint(path, params, config, vocab))
+    assert peak < slack
+    (loaded, *_), peak = traced_peak(lambda: load_checkpoint(path))
+    assert peak < total + slack
+    for (_, ta), (_, tb) in zip(params.named(), loaded.named()):
+        assert np.array_equal(ta.values, tb.values)

@@ -768,9 +768,16 @@ def command_line(command, files, out):
                    *TINY_MODEL, "--decode-max-len", "4"]}[command]]
 
 
+# `command_line`'s ablate split, since the three ratios must sum to 1
+ABLATE_RATIOS = {"train_ratio": "0.6", "valid_ratio": "0.2", "test_ratio": "0.2"}
+
+
 def valid_text(key):
-    """A valid flag value for `key`: its default, or 4 for `decode_max_len`."""
+    """A valid flag value for `key`: its default, 4 for `decode_max_len`, or
+    a split ratio of `command_line`'s ablate run."""
     default = SETTINGS_AT_ORIGIN[key][0]
+    if key in ABLATE_RATIOS:
+        return ABLATE_RATIOS[key]
     return "4" if default is None else "true" if default is True else str(default)
 
 
@@ -830,6 +837,17 @@ class TestTrainingSettingsFirst:
         out = tmp_path / "out"
         assert_one_error_line(run(command_line(command, files, out) + flags), capsys, *words)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags,words", [
+        (["--decode-max-len", "500"], ["error: decode max_len 500 exceeds max_tgt_len - 1 = 119"]),
+        (["--train-ratio", "0.3"], ["error: split ratios must sum to 1, got (0.3, 0.1, 0.1)"])])
+    def test_ablate_decode_and_split_settings_with_missing_data(self, tmp_path, capsys, flags,
+                                                               words):
+        """A decode length or split ratio that `ablate` cannot use ends the
+        run before the corpus is read, not after it or the first variant's
+        training."""
+        missing = tmp_path / "missing.jsonl"
+        assert_one_error_line(run(["ablate", "--data", missing] + flags), capsys, *words)
 
     def test_longest_response_fills_max_tgt_len(self, tmp_path, capsys):
         """A response cut to `max_response_tokens` is a decoder input of one

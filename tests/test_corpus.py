@@ -369,6 +369,8 @@ class TestSplitCorpus:
     def test_bad_ratios(self):
         with pytest.raises(C.CorpusError):
             C.split_corpus(self.make(10), 0, (0.5, 0.4, 0.2))
+        with pytest.raises(C.CorpusError, match="must sum to 1"):  # NaN compares false
+            C.split_corpus(self.make(10), 0, (float("nan"), 0.1, 0.1))
         with pytest.raises(C.CorpusError):
             C.split_corpus(self.make(3), 0, (0.9, 0.05, 0.05))
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from trrgen.tensor import (Tensor, Tape, matmul, add, scale, relu, softmax,
+from trrgen.tensor import (_CE_COLS, _CE_ROWS, Tensor, Tape, matmul, add, scale, relu, softmax,
                            layer_norm, concat_rows, split_rows, split_heads, merge_heads,
                            embedding_lookup,
                            dropout, cross_entropy_logits, linear_cross_entropy, sum_all,
@@ -294,8 +296,12 @@ class TestLinearCrossEntropy:
         tape.backward(scale(loss, 0.7, tape))
         return float(loss.values), [t.grad.copy() for t in (h, w, b)]
 
-    @pytest.mark.parametrize("n,d,v", [(1, 3, 4), (5, 4, 7), (33, 8, 50)])
+    @pytest.mark.parametrize("n,d,v", [
+        (1, 3, 4), (5, 4, 7), (33, 8, 50), (_CE_ROWS - 1, 8, 50), (_CE_ROWS, 8, 50),
+        (_CE_ROWS + 1, 8, 50), (2 * _CE_ROWS + 3, 8, 50), (_CE_ROWS + 1, 4, 2 * _CE_COLS + 3)])
     def test_matches_unfused_within_1e_12(self, n, d, v):
+        """Also over a ragged last row chunk, several chunks and several dw
+        column blocks."""
         rng = np.random.default_rng(n)
         h, w, b = (Tensor(rng.normal(size=s)) for s in ((n, d), (d, v), (v,)))
         targets = rng.integers(0, v, n)
@@ -313,6 +319,37 @@ class TestLinearCrossEntropy:
             tape = Tape()
             return linear_cross_entropy(h, w, b, [5, 0, 3], tape), tape
         assert grad_check(build, [h, w, b]) <= 1e-6
+
+    def test_gradient_check_over_two_row_chunks(self):
+        h, w, b = rand((_CE_ROWS + 1, 2), 4), rand((2, 3), 5), rand((3,), 6)
+        targets = np.arange(_CE_ROWS + 1) % 3
+
+        def build():
+            tape = Tape()
+            return linear_cross_entropy(h, w, b, targets, tape), tape
+        assert grad_check(build, [h, w, b]) <= 1e-6
+
+    def test_untaped_loss_is_the_taped_loss(self):
+        h, w, b = rand((2 * _CE_ROWS + 3, 8), 1), rand((8, 50), 2), rand((50,), 3)
+        targets = np.arange(len(h.values)) % 50
+        assert (float(linear_cross_entropy(h, w, b, targets).values)
+                == float(linear_cross_entropy(h, w, b, targets, Tape()).values))
+
+    def test_peak_memory_under_half_the_logits(self):
+        """One taped forward plus backward never holds the [N, V] logits: at
+        N 1,024 and V 4,096 it peaks under half of their 32 MiB."""
+        n, d, v = 1024, 32, 4096
+        h, w, b = rand((n, d), 1), rand((d, v), 2), rand((v,), 3)
+        targets = np.arange(n) % v
+        tracemalloc.start()
+        try:
+            tape = Tape()
+            tape.backward(scale(linear_cross_entropy(h, w, b, targets, tape), 1.0 / n, tape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * v * 8 / 2
+        assert w.grad.shape == (d, v)
 
     @pytest.mark.parametrize("scale_", [1e4, -1e4])
     def test_finite_at_large_logits(self, scale_):
