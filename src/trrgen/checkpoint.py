@@ -43,15 +43,18 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False,
                       separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, t in named:  # no copy on a little-endian host
-            raw = np.ascontiguousarray(t.values, dtype="<f8")
-            fh.write(struct.pack("<Q", raw.nbytes))
-            fh.write(memoryview(raw).cast("B"))
+    tmp = f"{path}.{os.getpid()}.tmp"  # so that a failed save leaves the old file whole
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(blob)) + blob)
+            for _, t in named:  # no copy on a little-endian host
+                raw = np.ascontiguousarray(t.values, dtype="<f8")
+                fh.write(struct.pack("<Q", raw.nbytes))
+                fh.write(memoryview(raw).cast("B"))
+        os.replace(tmp, path)
+    finally:  # gone once it has replaced `path`
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

@@ -3,8 +3,9 @@ generate, evaluate, ablate.
 
 Configuration is a flat JSON file that may hold any setting; a command takes
 a same-named flag (flags win) only for the settings of the dataclasses it
-builds (`ACCEPTS`), and TRRGEN_SEED overrides the seed. All machine outputs
-are UTF-8 JSON-Lines. Failures exit nonzero with one "error: ..." line on stderr.
+builds (`ACCEPTS`), and TRRGEN_SEED overrides the seed. Text is normalized
+before it is encoded, as the checkpoint's own run did for `generate` and
+`evaluate`. Machine outputs are UTF-8 JSON-Lines; a failure exits 1 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -56,8 +58,8 @@ def _flag(key: str) -> str:
 # that gives its type and default. vocab_size comes from the vocabulary, and
 # placeholder_rules and stop_loss are set only through the library.
 SETTINGS = {_key(cls, f.name): f
-            for cls in (ModelConfig, C.PreprocessConfig, TrainOptions, DecodeConfig,
-                        PipelineConfig)
+            for cls in (ModelConfig, C.PreprocessConfig, C.AdConfig, TrainOptions,
+                        DecodeConfig, PipelineConfig)
             for f in dataclasses.fields(cls)
             if f.name not in ("vocab_size", "placeholder_rules", "stop_loss")}
 
@@ -84,6 +86,22 @@ def _parse(name: str, key: str, text: str):
         raise CliError(f"{name} must be {wanted}, got {text!r}") from None
 
 
+def _typed(path, what: str, data, keys) -> dict:
+    """The `keys` settings in `data`, the JSON object `what` of `path`, type-checked."""
+    if not isinstance(data, dict):
+        raise CliError(f"{path}: {what} must be a flat JSON object")
+    values = {}
+    for key in [k for k in data if k in keys]:
+        kind, value = SETTINGS[key].type, data[key]
+        if type(value) not in TYPES[kind][1]:  # `type`, so true is not an integer
+            raise CliError(f"{path}: {key} must be {TYPES[kind][2]}, got {value!r}")
+        try:  # an int for a float key is stored as a float, as a flag's would be
+            values[key] = float(value) if kind == "float" else value
+        except OverflowError:
+            raise CliError(f"{path}: {key} is out of range, got {value!r}") from None
+    return values
+
+
 def load_settings(path: str | None, flags: dict) -> dict:
     """Every setting: its default, then the `path` config file, then `flags`
     (key -> command-line text), then TRRGEN_SEED; each value type-checked."""
@@ -91,19 +109,9 @@ def load_settings(path: str | None, flags: dict) -> dict:
     if path:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        if not isinstance(data, dict):
-            raise CliError(f"{path}: config must be a flat JSON object")
-        unknown = set(data) - set(SETTINGS)
-        if unknown:
+        values.update(_typed(path, "config", data, SETTINGS))
+        if unknown := set(data) - set(SETTINGS):
             raise CliError(f"{path}: unknown config keys {sorted(unknown)}")
-        for key, value in data.items():
-            kind = SETTINGS[key].type
-            if type(value) not in TYPES[kind][1]:  # `type`, so true is not an integer
-                raise CliError(f"{path}: {key} must be {TYPES[kind][2]}, got {value!r}")
-            try:  # an int for a float key is stored as a float, as a flag's would be
-                values[key] = float(value) if kind == "float" else value
-            except OverflowError:
-                raise CliError(f"{path}: {key} is out of range, got {value!r}") from None
     values.update({key: _parse(_flag(key), key, text) for key, text in flags.items()})
     if "TRRGEN_SEED" in os.environ:
         values["seed"] = _parse("TRRGEN_SEED", "seed", os.environ["TRRGEN_SEED"])
@@ -124,13 +132,13 @@ def _keys(*classes) -> frozenset:
 
 
 # The settings each command takes flags for: those of the dataclasses its `cmd_*`
-# builds, read or not. `generate` and `evaluate` take the model from the
-# checkpoint, and `ablate` sets `fusion_variant` from `--variants`.
-ACCEPTS = {"preprocess": _keys(C.PreprocessConfig), "report-ads": _keys(C.PreprocessConfig),
+# builds. `generate` and `evaluate` take the model and the text encoding from
+# the checkpoint, and `ablate` sets `fusion_variant` from `--variants`.
+ACCEPTS = {**dict.fromkeys(["preprocess", "report-ads"], _keys(C.PreprocessConfig, C.AdConfig)),
            "build-vocab": frozenset({"min_freq"}),
            "train": _keys(ModelConfig, C.PreprocessConfig, TrainOptions),
-           **dict.fromkeys(["generate", "evaluate"], _keys(DecodeConfig, C.PreprocessConfig)),
-           "ablate": frozenset(SETTINGS) - {"fusion_variant"}}
+           **dict.fromkeys(["generate", "evaluate"], _keys(DecodeConfig)),
+           "ablate": frozenset(SETTINGS) - _keys(C.AdConfig) - {"fusion_variant"}}
 
 
 def _config_from_args(args) -> dict:
@@ -159,24 +167,23 @@ def _training_settings(cfg: dict, **model):
 
 
 def cmd_preprocess(args) -> int:
-    pre_cfg = build(C.PreprocessConfig, _config_from_args(args))
+    cfg = _config_from_args(args)
+    pre_cfg, ad_cfg = build(C.PreprocessConfig, cfg), build(C.AdConfig, cfg)
     records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
     if args.blocklist:
-        records = C.filter_ads(records, C.load_blocklist(args.blocklist), pre_cfg)
+        records = C.filter_ads(records, C.load_blocklist(args.blocklist), ad_cfg)
     C.save_corpus(records, args.output)
     print(f"wrote {len(records)} records to {args.output}")
     return 0
 
 
 def cmd_report_ads(args) -> int:
-    pre_cfg = build(C.PreprocessConfig, _config_from_args(args))
+    cfg = _config_from_args(args)
+    pre_cfg, ad_cfg = build(C.PreprocessConfig, cfg), build(C.AdConfig, cfg)
     records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
-    text = C.ad_report(records, pre_cfg).to_tsv()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    text = C.ad_report(records, ad_cfg).to_tsv()
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as fh:
+        fh.write(text)
     return 0
 
 
@@ -189,18 +196,40 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def _encode_all(records, vocab, pre_cfg):
-    return [C.encode_record(r, vocab, pre_cfg) for r in records]
+def _encode(record, vocab, pre_cfg, where):
+    """`record`, review and response normalized, checked and encoded; an error names `where`."""
+    (record,) = C.normalize_corpus([record], pre_cfg)
+    record.validate(where)
+    try:
+        return C.encode_record(record, vocab, pre_cfg)
+    except C.CorpusError as exc:
+        raise C.CorpusError(f"{where}: {exc}") from None
+
+
+def _encode_all(records, vocab, pre_cfg, path):
+    return [_encode(r, vocab, pre_cfg, f"{path}: record {n}")
+            for n, r in enumerate(records, start=1)]
+
+
+def _load_model(args):
+    """`generate`'s and `evaluate`'s decode settings, and their checkpoint's model and encoding."""
+    decode = build(DecodeConfig, _config_from_args(args))
+    params, config, vocab, run_config, _ = load_checkpoint(args.checkpoint)
+    try:  # a setting the run_config lacks (a library caller's) takes its default
+        pre_cfg = C.PreprocessConfig(**_typed(args.checkpoint, "run_config", run_config,
+                                              _keys(C.PreprocessConfig)))
+    except C.CorpusError as exc:
+        raise CliError(f"{args.checkpoint}: {exc}") from None
+    return decode, params, config, vocab, pre_cfg
 
 
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     pre_cfg, opts, model_cfg = _training_settings(cfg)
     vocab = C.Vocabulary.load(args.vocab)
-    train_recs = _encode_all(C.load_corpus(args.train), vocab, pre_cfg)
-    valid_recs = []
-    if args.valid:
-        valid_recs = _encode_all(C.load_corpus(args.valid), vocab, pre_cfg)
+    train_recs = _encode_all(C.load_corpus(args.train), vocab, pre_cfg, args.train)
+    valid_recs = (_encode_all(C.load_corpus(args.valid), vocab, pre_cfg, args.valid)
+                  if args.valid else [])
     model_cfg = dataclasses.replace(model_cfg, vocab_size=len(vocab))
 
     with open(args.log or os.devnull, "w", encoding="utf-8") as log_fh:
@@ -220,18 +249,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    cfg = _config_from_args(args)
-    decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
-    params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
-
-    def encode(review, rating, category, where):
-        rec = C.ReviewRecord("", category, rating, C.normalize_text(review, pre_cfg), "")
-        rec.validate(where)
-        try:
-            return C.encode_record(rec, vocab, pre_cfg)
-        except C.CorpusError as exc:
-            raise C.CorpusError(f"{where}: {exc}") from None
-
+    decode, params, config, vocab, pre_cfg = _load_model(args)
     if args.batch:
         inputs = []  # every line is checked before the first response is generated
         with open(args.batch, encoding="utf-8") as fh:
@@ -241,7 +259,8 @@ def cmd_generate(args) -> int:
                 where = f"{args.batch}:{lineno}"
                 try:
                     obj = json.loads(line)
-                    fields = (str(obj["review"]), obj["rating"], str(obj["category"]))
+                    rec = C.ReviewRecord("", str(obj["category"]), obj["rating"],
+                                         str(obj["review"]))
                 except json.JSONDecodeError as exc:
                     raise CliError(f"{where}: malformed JSON ({exc})") from None
                 except KeyError as exc:
@@ -249,7 +268,7 @@ def cmd_generate(args) -> int:
                 except TypeError as exc:
                     raise CliError(f"{where}: expected an object with a review, an integer "
                                    f"rating and a category ({exc})") from None
-                inputs.append((obj, encode(*fields, where)))
+                inputs.append((obj, _encode(rec, vocab, pre_cfg, where)))
         hyps = generate_all([encoded for _, encoded in inputs], params, config, decode)
         for (obj, _), hyp in zip(inputs, hyps):
             response = postprocess(response_ids(hyp), vocab)
@@ -257,28 +276,29 @@ def cmd_generate(args) -> int:
     else:
         if args.review is None or args.rating is None or args.category is None:
             raise CliError("generate requires --review, --rating and --category (or --batch)")
-        encoded = encode(args.review, args.rating, args.category, "input")
+        rec = C.ReviewRecord("", args.category, args.rating, args.review)
+        encoded = _encode(rec, vocab, pre_cfg, "input")
         print(postprocess(generate(encoded, params, config, decode), vocab))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _config_from_args(args)
-    decode, pre_cfg = build(DecodeConfig, cfg), build(C.PreprocessConfig, cfg)
-    params, config, vocab, _, _ = load_checkpoint(args.checkpoint)
+    decode, params, config, vocab, pre_cfg = _load_model(args)
     records = C.load_corpus(args.test)
     if not records:
         raise CliError(f"{args.test}: empty test corpus")
-    report = evaluate_model(params, config, vocab, _encode_all(records, vocab, pre_cfg),
-                            [r.response_text for r in records], decode,
-                            label=config.fusion_variant)
+    report = evaluate_model(params, config, vocab, _encode_all(records, vocab, pre_cfg, args.test),
+                            [C.normalize_text(r.response_text, pre_cfg) for r in records],
+                            decode, label=config.fusion_variant)
     print(report.to_json())
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
-    variants = args.variants.split(",") if args.variants else list(FUSION_VARIANTS)
+    variants = list(FUSION_VARIANTS) if args.variants is None else args.variants.split(",")
+    if not all(variants) or len(set(variants)) < len(variants):
+        raise CliError(f"--variants must name distinct variants, got {args.variants!r}")
     pre_cfg, opts, model_cfg = _training_settings(cfg, fusion_variant=variants[0])
     configs = [dataclasses.replace(model_cfg, fusion_variant=v) for v in variants]  # checks each
     decode, pipe = build(DecodeConfig, cfg), build(PipelineConfig, cfg)
@@ -286,7 +306,8 @@ def cmd_ablate(args) -> int:
     records = C.normalize_corpus(C.load_corpus(args.data), pre_cfg)
     train, valid, test = C.split_corpus(records, pipe.seed, pipe.ratios)
     vocab = C.build_vocabulary(train, min_freq=pipe.min_freq)
-    train_e, valid_e, test_e = (_encode_all(s, vocab, pre_cfg) for s in (train, valid, test))
+    train_e, valid_e, test_e = (_encode_all(s, vocab, pre_cfg, f"{args.data} ({name} split)")
+                                for s, name in ((train, "train"), (valid, "valid"), (test, "test")))
     test_resp = [r.response_text for r in test]
 
     reports = []

@@ -12,7 +12,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 PAD, UNK, SOS, EOS = "⟨pad⟩", "⟨unk⟩", "⟨sos⟩", "⟨eos⟩"
 PAD_ID, UNK_ID, SOS_ID, EOS_ID = 0, 1, 2, 3
@@ -63,18 +63,26 @@ class PreprocessConfig:
     placeholder_rules: list[tuple[str, str]] = field(
         default_factory=lambda: list(DEFAULT_PLACEHOLDER_RULES))
     lowercase: bool = True
-    ad_ngram_n: int = 5
-    ad_flag_threshold: float = 0.005
     max_review_tokens: int = 100
     max_response_tokens: int = 120
+
+    def __post_init__(self):
+        if self.max_review_tokens < 1 or self.max_response_tokens < 2:
+            raise CorpusError("max_review_tokens must be >= 1 and max_response_tokens >= 2")
+
+
+@dataclass
+class AdConfig:
+    """The mid n-gram length, and the share of responses `ad_report` flags at."""
+
+    ad_ngram_n: int = 5
+    ad_flag_threshold: float = 0.005
 
     def __post_init__(self):
         if self.ad_ngram_n < 1:
             raise CorpusError("ad_ngram_n must be >= 1")
         if not 0.0 < self.ad_flag_threshold <= 1.0:
             raise CorpusError("ad_flag_threshold must be in (0, 1]")
-        if self.max_review_tokens < 1 or self.max_response_tokens < 2:
-            raise CorpusError("max_review_tokens must be >= 1 and max_response_tokens >= 2")
 
 
 @dataclass
@@ -189,61 +197,40 @@ def tokenize(text: str) -> list[str]:
 # advertisement-sentence detection
 
 
-_SENT_END = re.compile(r"[.!?](?=\s|$)")
+# Text up to a '.', '!' or '?' that whitespace or the end of string follows,
+# with the whitespace after it; or the text after the last such mark.
+_SENTENCE = re.compile(r"(?:[^.!?]+|[.!?](?!\s|$))*(?:[.!?]\s*|$)")
 
 
 def split_sentences(text: str) -> list[str]:
-    """Split on '.', '!' or '?' followed by whitespace or end of string.
-
-    The concatenation of the returned pieces is byte-identical to the input.
-    """
-    pieces = []
-    start = 0
-    for m in _SENT_END.finditer(text):
-        end = m.end()
-        # carry trailing whitespace with the sentence it follows
-        while end < len(text) and text[end].isspace():
-            end += 1
-        pieces.append(text[start:end])
-        start = end
-    if start < len(text):
-        pieces.append(text[start:])
-    return pieces
+    """Split after each sentence end; the pieces join to the input, byte for byte."""
+    return [piece for piece in _SENTENCE.findall(text) if piece]
 
 
 def mid_ngram(sentence_tokens: list[str], n: int) -> tuple[str, ...] | None:
-    """The n consecutive tokens starting at floor((len-n)/2), or None if too short."""
-    if n < 1:
-        raise CorpusError("n must be >= 1")
+    """The n (>= 1) consecutive tokens from floor((len-n)/2), or None if too short."""
     if len(sentence_tokens) < n:
         return None
     start = (len(sentence_tokens) - n) // 2
     return tuple(sentence_tokens[start:start + n])
 
 
-def ad_report(records: list[ReviewRecord], config: PreprocessConfig) -> NgramReport:
+def ad_report(records: list[ReviewRecord], config: AdConfig) -> NgramReport:
     """Rank the mid n-grams of all response sentences by corpus frequency.
 
     Entries with count >= ad_flag_threshold * |responses| are flagged for
     human review; removal itself is driven by a curated blocklist.
     """
-    counts: Counter = Counter()
-    n_responses = 0
-    for rec in records:
-        if not rec.response_text.strip():
-            continue
-        n_responses += 1
-        for sent in split_sentences(rec.response_text):
-            expr = mid_ngram(tokenize(sent), config.ad_ngram_n)
-            if expr is None:
-                continue
-            counts[expr] += 1
-    cutoff = config.ad_flag_threshold * n_responses
+    responses = [r.response_text for r in records if r.response_text.strip()]
+    exprs = (mid_ngram(tokenize(sent), config.ad_ngram_n)
+             for text in responses for sent in split_sentences(text))
+    counts = Counter(expr for expr in exprs if expr is not None)
+    cutoff = config.ad_flag_threshold * len(responses)
     return NgramReport([NgramEntry(expr, c, c >= cutoff) for expr, c in counts.most_common()])
 
 
 def filter_ads(records: list[ReviewRecord], blocklist: set[tuple[str, ...]],
-               config: PreprocessConfig) -> list[ReviewRecord]:
+               config: AdConfig) -> list[ReviewRecord]:
     """Delete response sentences whose mid n-gram is blocklisted.
 
     Unblocked sentences pass through byte-exact; records whose response
@@ -259,8 +246,7 @@ def filter_ads(records: list[ReviewRecord], blocklist: set[tuple[str, ...]],
         response = "".join(kept)
         if rec.response_text.strip() and not response.strip():
             continue
-        out.append(ReviewRecord(rec.app_name, rec.category, rec.rating,
-                                rec.review_text, response))
+        out.append(replace(rec, response_text=response))
     return out
 
 

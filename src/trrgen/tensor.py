@@ -146,8 +146,8 @@ def _record(tape: Tape | None, out: Tensor, rule, *inputs: Tensor) -> Tensor:
     """Record `rule(g, *slots)` on `tape`, with `g` the gradient of `out` and
     `slots` the gradient slots of `inputs`; the entry holds slots, not
     tensors. It is skipped when no gradient reached `out`, and frees
-    `out.grad`, which no later entry reads. Returns `out`. With no tape
-    nothing is recorded and no slot made."""
+    `out.grad`, which no later entry reads, so the rule owns `g` and may write
+    it. Returns `out`. With no tape nothing is recorded and no slot made."""
     if tape is not None:
         slot, slots = out.slot, [t.slot for t in inputs]
 
@@ -200,8 +200,8 @@ def scale(a: Tensor, s: float, tape: Tape | None = None) -> Tensor:
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
-    y = np.maximum(a.values, 0.0)  # the rule reads y > 0, bitwise the mask a > 0
-    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(sa, g * (y > 0)), a)
+    y = np.maximum(a.values, 0.0)  # the rule masks `g` in place by y > 0, bitwise a > 0
+    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(sa, np.multiply(g, y > 0, out=g)), a)
 
 
 def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
@@ -315,9 +315,9 @@ def dropout(x: Tensor, p: float, training: bool,
         raise ValueError("dropout in training mode requires an rng")
     keep, s = rng.random(x.values.shape) >= p, 1.0 / (1.0 - p)
 
-    def scaled(v):  # bitwise v * ((r >= p) / (1 - p)), with a bool mask
-        return np.multiply(v := v * s, keep, out=v)
-    return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum_owned(sx, scaled(g)), x)
+    def scaled(v, out=None):  # bitwise v * ((r >= p) / (1 - p)) into `out`, with a bool mask
+        return np.multiply(v := np.multiply(v, s, out=out), keep, out=v)
+    return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum_owned(sx, scaled(g, g)), x)
 
 
 def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import trrgen.model as M
-from trrgen.corpus import (PreprocessConfig, ReviewRecord, EncodedRecord,
+from trrgen.corpus import (AdConfig, PreprocessConfig, ReviewRecord, EncodedRecord,
                            build_vocabulary, encode_record, normalize_text,
                            tokenize, ad_report, filter_ads, mid_ngram,
                            split_sentences, EOS_ID)
@@ -284,12 +284,12 @@ def test_c11_preprocessing():
     planted = "zeta eta theta iota kappa"
     records = [ReviewRecord("a", "T", 3, "rev", f"intro words here now. {planted}.")
                for _ in range(10)]
-    rep = ad_report(records, cfg)
+    rep = ad_report(records, AdConfig())
     assert {e.expression: e.count for e in rep.entries}[tuple(planted.split())] == 10
     # unblocked text byte-identical
     keep = "We  LOVE   feedback,   truly!"
     records = [ReviewRecord("a", "T", 3, "rev", f"{keep} {planted}.")]
-    out = filter_ads(records, {tuple(planted.split())}, cfg)
+    out = filter_ads(records, {tuple(planted.split())}, AdConfig())
     assert out[0].response_text == keep + " "
     assert out[0].review_text == "rev"
     report("criterion 11 preprocessing", "golden, idempotence, ad count, byte equality")

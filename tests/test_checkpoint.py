@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from trrgen.checkpoint import save_checkpoint, load_checkpoint, CheckpointError, MAGIC
 from trrgen.corpus import ReviewRecord, build_vocabulary
-from trrgen import model
+from trrgen import checkpoint, model
 from trrgen.model import ModelConfig, init_parameters
 
 
@@ -48,6 +49,41 @@ def test_load_draws_no_random_numbers(tmp_path, setup, monkeypatch):
     loaded, *_ = load_checkpoint(path)
     for (_, ta), (_, tb) in zip(params.named(), loaded.named()):
         assert np.array_equal(ta.values, tb.values)
+
+
+class DiskFull:
+    """A binary file that takes `room` bytes, then fails as a full disk does."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.room -= len(data)
+        if self.room < 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, setup, monkeypatch):
+    """A save that fails after the header leaves the previous checkpoint
+    byte-identical and no temporary file beside it."""
+    params, config, vocab = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config, vocab, run_config={"seed": 1})
+    old = path.read_bytes()
+    header_end = len(MAGIC) + 12 + struct.unpack("<Q", old[len(MAGIC) + 4:len(MAGIC) + 12])[0]
+    monkeypatch.setattr(checkpoint, "open", lambda *a: DiskFull(open(*a), header_end),
+                        raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, params, config, vocab, run_config={"seed": 2})
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_save_load_save_byte_identical(tmp_path, setup):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from trrgen import cli
+from trrgen import cli, corpus, evaluation, generation
 from trrgen.checkpoint import load_checkpoint, save_checkpoint
 from trrgen.cli import main
-from trrgen.corpus import PreprocessConfig
+from trrgen.corpus import AdConfig, PreprocessConfig, ReviewRecord
 from trrgen.generation import DecodeConfig
 from trrgen.model import ModelConfig
 from trrgen.training import TrainOptions
@@ -21,13 +21,16 @@ from trrgen.training import TrainOptions
 from conftest import make_records
 
 
+def jsonl_line(record):
+    return json.dumps({"app_name": record.app_name, "category": record.category,
+                       "rating": record.rating, "review": record.review_text,
+                       "response": record.response_text}, ensure_ascii=False)
+
+
 def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
-            fh.write(json.dumps({"app_name": r.app_name, "category": r.category,
-                                 "rating": r.rating, "review": r.review_text,
-                                 "response": r.response_text},
-                                ensure_ascii=False) + "\n")
+            fh.write(jsonl_line(r) + "\n")
 
 
 @pytest.fixture
@@ -449,11 +452,128 @@ class TestAblate:
         labels = [json.loads(l)["label"] for l in out]
         assert labels == ["vanilla", "category_only"]
 
+    @pytest.mark.parametrize("variants", ["", "vanilla,vanilla", "vanilla,,trrgen_order"])
+    def test_empty_or_repeated_variant_is_one_error_line(self, tmp_path, capsys, variants):
+        """Checked before the corpus is read; `''` used to train every variant."""
+        code = run(["ablate", "--data", tmp_path / "missing.jsonl", "--variants", variants])
+        assert_one_error_line(code, capsys, f"error: --variants must name distinct variants, "
+                                            f"got {variants!r}")
+
     def test_unknown_variant_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.jsonl"
         write_jsonl(data, make_records(10))
         assert run(["ablate", "--data", data, "--variants", "bogus"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestEncodingContract:
+    """`train` fixes the text encoding, its checkpoint carries it, and
+    `generate` and `evaluate` read it back. Every command that encodes text
+    normalizes it first."""
+
+    REVIEW = "Mail ME at Bob.Smith@Example.com, THIS app crashes on every update"
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """Each (record, config, encoding) that `corpus.encode_record` is called with."""
+        calls, encode_record = [], corpus.encode_record
+
+        def spy(record, vocab, config):
+            calls.append((record, config, encode_record(record, vocab, config)))
+            return calls[-1][2]
+        monkeypatch.setattr(corpus, "encode_record", spy)
+        return calls
+
+    def inputs(self, tmp_path, review):
+        """A `--batch` file and a `--test` corpus, each holding `review`."""
+        batch, test = tmp_path / "batch.jsonl", tmp_path / "test.jsonl"
+        batch.write_text(json.dumps({"review": review, "rating": 4, "category": "TOOLS"}) + "\n",
+                         encoding="utf-8")
+        write_jsonl(test, [ReviewRecord("a", "TOOLS", 4, review, "Thanks, WE fix it")])
+        return batch, test
+
+    def test_generate_and_evaluate_encode_as_train_did(self, tmp_path, corpus_file, encoded,
+                                                       capsys):
+        vocab, ckpt = tmp_path / "vocab.json", tmp_path / "model.ckpt"
+        assert run(["build-vocab", "--input", corpus_file, "--output", vocab,
+                    "--min-freq", 1]) == 0
+        assert run(["train", "--train", corpus_file, "--vocab", vocab, "--output", ckpt,
+                    *TINY_MODEL, "--max-review-tokens", 3, "--lowercase", "false"]) == 0
+        batch, test = self.inputs(tmp_path, self.REVIEW)
+        encoded.clear()
+        for args in (["generate", "--review", self.REVIEW, "--rating", 4, "--category", "TOOLS"],
+                     ["generate", "--batch", batch], ["evaluate", "--test", test]):
+            assert run([*args, "--checkpoint", ckpt]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(encoded) == 3
+        for record, config, ids in encoded:
+            assert (config.lowercase, config.max_review_tokens) == (False, 3)
+            assert record.review_text == "Mail ME at ⟨email⟩, THIS app crashes on every update"
+            assert len(ids.src_ids) == 3
+
+    def test_generate_batch_and_evaluate_answer_a_raw_review_alike(self, session_checkpoint,
+                                                                   tmp_path, encoded,
+                                                                   monkeypatch, capsys):
+        answers = []
+
+        def postprocess(ids, vocab):
+            answers.append(generation.postprocess(ids, vocab))
+            return answers[-1]
+        monkeypatch.setattr(evaluation, "postprocess", postprocess)
+        batch, test = self.inputs(tmp_path, self.REVIEW)
+        assert run(["generate", "--checkpoint", session_checkpoint, "--batch", batch]) == 0
+        response = json.loads(capsys.readouterr().out)["response"]
+        assert run(["evaluate", "--checkpoint", session_checkpoint, "--test", test]) == 0
+        capsys.readouterr()
+        assert answers == [response]
+        (by_generate, _, generated), (by_evaluate, _, evaluated) = encoded
+        assert by_generate.review_text == by_evaluate.review_text == (
+            "mail me at ⟨email⟩, this app crashes on every update")
+        assert by_evaluate.response_text == "thanks, we fix it"
+        assert generated.src_ids == evaluated.src_ids
+
+    @pytest.mark.parametrize("run_config,words", [
+        (["lowercase"], "run_config must be a flat JSON object"),
+        ({"max_review_tokens": "3"}, "max_review_tokens must be an integer, got '3'"),
+        ({"max_review_tokens": 0}, "max_review_tokens must be >= 1"),
+        ({"max_response_tokens": 1},
+         "max_review_tokens must be >= 1 and max_response_tokens >= 2"),
+        ({"lowercase": 1, "max_review_tokens": 3}, "lowercase must be true or false, got 1")])
+    def test_bad_stored_setting_is_one_error_line(self, session_checkpoint, corpus_file,
+                                                  tmp_path, capsys, run_config, words):
+        params, config, vocab, _, metadata = load_checkpoint(session_checkpoint)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, params, config, vocab, run_config, metadata)
+        for args in (["generate", "--review", "love it", "--rating", 5, "--category", "GAME"],
+                     ["evaluate", "--test", corpus_file]):
+            assert_one_error_line(run([*args, "--checkpoint", bad]), capsys,
+                                  f"error: {bad}: {words}")
+
+    def test_checkpoint_without_settings_decodes_with_the_defaults(self, session_checkpoint,
+                                                                  tmp_path, encoded, capsys):
+        params, config, vocab, _, _ = load_checkpoint(session_checkpoint)
+        bare = tmp_path / "bare.ckpt"
+        save_checkpoint(bare, params, config, vocab)  # a library caller's: no run_config
+        assert load_checkpoint(bare)[3] == {}
+        assert run(["generate", "--checkpoint", bare, "--review", "love it", "--rating", 5,
+                    "--category", "GAME"]) == 0
+        assert capsys.readouterr().out
+        assert [config for _, config, _ in encoded] == [PreprocessConfig()]
+
+    def test_encoding_error_names_the_file_and_record(self, session_files, tmp_path, capsys):
+        """Records are counted from 1, blank lines not counted."""
+        good, bad = make_records(2, seed=1)
+        bad.category = "GAMES"
+        data, ckpt = tmp_path / "games.jsonl", tmp_path / "model.ckpt"
+        data.write_text(f"{jsonl_line(good)}\n\n{jsonl_line(bad)}\n", encoding="utf-8")
+        for args in (["evaluate", "--checkpoint", session_files.checkpoint, "--test", data],
+                     ["train", "--train", session_files.corpus, "--valid", data,
+                      "--vocab", session_files.vocab, "--output", ckpt, *TINY_MODEL],
+                     ["train", "--train", data, "--vocab", session_files.vocab,
+                      "--output", ckpt, *TINY_MODEL]):
+            assert_one_error_line(run(args), capsys,
+                                  f"error: {data}: record 2: unknown category 'GAMES'")
+        assert not ckpt.exists()
 
 
 class TestConfigHandling:
@@ -501,23 +621,24 @@ SETTINGS_AT_ORIGIN = {
     "test_ratio": (0.1, "float"), "seed": (0, "int"),
 }
 DEFAULTS = {key: default for key, (default, _) in SETTINGS_AT_ORIGIN.items()}
-COMPONENTS = (ModelConfig, PreprocessConfig, TrainOptions, DecodeConfig, cli.PipelineConfig)
+COMPONENTS = (ModelConfig, PreprocessConfig, AdConfig, TrainOptions, DecodeConfig,
+              cli.PipelineConfig)
 
 # The settings each command takes flags for, written out so that the tests do
 # not read the table they check: the keys of the dataclasses the command
 # builds, whether or not it reads them.
-PREPROCESS_KEYS = {"lowercase", "ad_ngram_n", "ad_flag_threshold", "max_review_tokens",
-                   "max_response_tokens"}
+PREPROCESS_KEYS = {"lowercase", "max_review_tokens", "max_response_tokens"}
+AD_KEYS = {"ad_ngram_n", "ad_flag_threshold"}
 DECODE_KEYS = {"strategy", "beam_width", "decode_max_len", "length_penalty"}
 MODEL_KEYS = {"d_model", "n_heads", "n_layers", "d_ff", "max_tgt_len", "fusion_variant",
               "dropout", "seed"}
 TRAIN_OPTION_KEYS = {"lr", "beta1", "beta2", "adam_eps", "batch_size", "epochs", "patience",
                      "validate_every", "seed"}
-ACCEPTED = {"preprocess": PREPROCESS_KEYS, "report-ads": PREPROCESS_KEYS,
+ACCEPTED = {"preprocess": PREPROCESS_KEYS | AD_KEYS, "report-ads": PREPROCESS_KEYS | AD_KEYS,
             "build-vocab": {"min_freq"},
             "train": MODEL_KEYS | PREPROCESS_KEYS | TRAIN_OPTION_KEYS,
-            "generate": DECODE_KEYS | PREPROCESS_KEYS, "evaluate": DECODE_KEYS | PREPROCESS_KEYS,
-            "ablate": set(SETTINGS_AT_ORIGIN) - {"fusion_variant"}}
+            "generate": DECODE_KEYS, "evaluate": DECODE_KEYS,
+            "ablate": set(SETTINGS_AT_ORIGIN) - AD_KEYS - {"fusion_variant"}}
 FOREIGN = {command: sorted(set(SETTINGS_AT_ORIGIN) - keys) for command, keys in ACCEPTED.items()}
 ACCEPTED_PAIRS = [(command, key) for command, keys in ACCEPTED.items() for key in sorted(keys)]
 FOREIGN_PAIRS = [(command, key) for command, keys in FOREIGN.items() for key in keys]
@@ -783,8 +904,8 @@ def valid_text(key):
 
 class TestFlagsPerCommand:
     def test_table_sizes(self):
-        """Seven commands by 29 settings: 78 pairs are taken, 125 are not."""
-        assert len(ACCEPTED) == 7 and len(ACCEPTED_PAIRS) == 78 and len(FOREIGN_PAIRS) == 125
+        """Seven commands by 29 settings: 64 pairs are taken, 139 are not."""
+        assert len(ACCEPTED) == 7 and len(ACCEPTED_PAIRS) == 64 and len(FOREIGN_PAIRS) == 139
 
     @pytest.mark.parametrize("command,key", FOREIGN_PAIRS)
     def test_foreign_flag_is_one_error_line(self, session_files, tmp_path, capsys, command, key):

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -12,6 +13,11 @@ from trrgen import corpus as C
 @pytest.fixture
 def cfg():
     return C.PreprocessConfig()
+
+
+@pytest.fixture
+def ad_cfg():
+    return C.AdConfig()
 
 
 class TestNormalize:
@@ -45,6 +51,24 @@ class TestNormalize:
         out = C.normalize_text(s, cfg)
         for pattern, _ in cfg.placeholder_rules:
             assert re.search(pattern, out) is None
+
+
+# Pieces that the default rules rewrite, or whose lowercase differs in length
+# or in what a rule matches, mixed with any text.
+PII_TEXT = st.lists(st.sampled_from(
+    ["Bob.Smith@Mail.COM", "a@b.co", "x@y", "https://X.io/a?b=1", "WWW.Site.org/x", "@Dev_42",
+     "@", ".", " ", "İ", "ẞ", "ς", "Σ", "\u212a", "⟨email⟩", "⟨URL⟩", "⟨"]) | st.text(max_size=4),
+    max_size=8).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PII_TEXT, st.booleans())
+def test_normalize_text_is_idempotent(text, lowercase):
+    """So text that `preprocess` wrote encodes as before when a later command
+    normalizes it again."""
+    cfg = C.PreprocessConfig(lowercase=lowercase)
+    once = C.normalize_text(text, cfg)
+    assert C.normalize_text(once, cfg) == once
 
 
 class TestTokenize:
@@ -96,20 +120,40 @@ class TestSentenceSplit:
     def test_decimal_not_split(self):
         assert len(C.split_sentences("version 1.5 is out")) == 1
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from(list("ab .!?\n\t\x1c\xa0\u3000")), max_size=30)
+           | st.text(max_size=20))
+    def test_matches_the_scanning_split(self, text):
+        """The one-regex split against the loop it replaced."""
+        assert C.split_sentences(text) == split_sentences_by_scanning(text)
+
+
+def split_sentences_by_scanning(text):
+    """Each '.', '!' or '?' that whitespace or the end of string follows ends
+    a piece, which takes the whitespace after it; the rest is the last piece."""
+    pieces, start = [], 0
+    for m in re.finditer(r"[.!?](?=\s|$)", text):
+        end = m.end()
+        while end < len(text) and text[end].isspace():
+            end += 1
+        pieces.append(text[start:end])
+        start = end
+    return pieces + ([text[start:]] if start < len(text) else [])
+
 
 class TestAdReport:
-    def test_empty_corpus(self, cfg):
-        assert C.ad_report([], cfg).entries == []
+    def test_empty_corpus(self, ad_cfg):
+        assert C.ad_report([], ad_cfg).entries == []
 
-    def test_planted_sentence_counted(self, cfg):
+    def test_planted_sentence_counted(self, ad_cfg):
         sent = "⟨app_name⟩ is a free phone cleaner which cleans junk"
         records = [C.ReviewRecord("a", "TOOLS", 5, "good", sent) for _ in range(10)]
-        report = C.ad_report(records, cfg)
+        report = C.ad_report(records, ad_cfg)
         top = report.entries[0]
         assert top.count == 10
         assert top.expression == C.mid_ngram(C.tokenize(sent), 5)
 
-    def test_threshold_flagging(self, cfg):
+    def test_threshold_flagging(self, ad_cfg):
         planted = "zeta eta theta iota kappa"
         records = []
         for i in range(100):
@@ -118,7 +162,7 @@ class TestAdReport:
             else:
                 resp = f"unique reply text number {i} indeed"
             records.append(C.ReviewRecord("a", "TOOLS", 3, "r", resp))
-        cfg7 = C.PreprocessConfig(ad_flag_threshold=0.05)
+        cfg7 = C.AdConfig(ad_flag_threshold=0.05)
         report = C.ad_report(records, cfg7)
         by_expr = {e.expression: e for e in report.entries}
         assert by_expr[tuple(planted.split())].flagged
@@ -128,7 +172,7 @@ class TestAdReport:
         report2 = C.ad_report(records2, cfg7)
         assert not {e.expression: e for e in report2.entries}[tuple(planted.split())].flagged
 
-    def test_counts_match_brute_force_rescan(self, cfg):
+    def test_counts_match_brute_force_rescan(self, ad_cfg):
         rng = random.Random(5)
         words = "red green blue gold pink onyx jade ruby".split()
         records = []
@@ -136,15 +180,15 @@ class TestAdReport:
             sents = [" ".join(rng.choice(words) for _ in range(rng.randint(2, 8))) + "."
                      for _ in range(rng.randint(1, 3))]
             records.append(C.ReviewRecord("a", "T", 1 + i % 5, "rev", " ".join(sents)))
-        report = C.ad_report(records, cfg)
+        report = C.ad_report(records, ad_cfg)
         # independent recount
         recount = {}
         for rec in records:
             for sent in C.split_sentences(rec.response_text):
                 toks = C.tokenize(sent)
-                if len(toks) >= cfg.ad_ngram_n:
-                    start = (len(toks) - cfg.ad_ngram_n) // 2
-                    expr = tuple(toks[start:start + cfg.ad_ngram_n])
+                if len(toks) >= ad_cfg.ad_ngram_n:
+                    start = (len(toks) - ad_cfg.ad_ngram_n) // 2
+                    expr = tuple(toks[start:start + ad_cfg.ad_ngram_n])
                     recount[expr] = recount.get(expr, 0) + 1
         assert {e.expression: e.count for e in report.entries} == recount
         counts = [e.count for e in report.entries]
@@ -152,27 +196,27 @@ class TestAdReport:
 
 
 class TestFilterAds:
-    def test_empty_blocklist_identity(self, cfg):
+    def test_empty_blocklist_identity(self, ad_cfg):
         records = [C.ReviewRecord("a", "T", 3, "rev", "resp one. resp two.")]
-        out = C.filter_ads(records, set(), cfg)
+        out = C.filter_ads(records, set(), ad_cfg)
         assert out[0].response_text == records[0].response_text
 
-    def test_blocked_sentence_removed_others_byte_exact(self, cfg):
+    def test_blocked_sentence_removed_others_byte_exact(self, ad_cfg):
         ad = "alpha beta gamma delta epsilon"
         resp = f"Thanks for  writing in! {ad}. We will FIX it soon."
         records = [C.ReviewRecord("a", "T", 3, "rev", resp)]
-        out = C.filter_ads(records, {tuple(ad.split())}, cfg)
+        out = C.filter_ads(records, {tuple(ad.split())}, ad_cfg)
         assert out[0].response_text == "Thanks for  writing in! We will FIX it soon."
         assert out[0].review_text == "rev"
 
-    def test_record_dropped_when_response_empties(self, cfg):
+    def test_record_dropped_when_response_empties(self, ad_cfg):
         ad = "alpha beta gamma delta epsilon"
         records = [C.ReviewRecord("a", "T", 3, "rev", f"{ad}.")]
-        assert C.filter_ads(records, {tuple(ad.split())}, cfg) == []
+        assert C.filter_ads(records, {tuple(ad.split())}, ad_cfg) == []
 
-    def test_wrong_length_expression_rejected(self, cfg):
+    def test_wrong_length_expression_rejected(self, ad_cfg):
         with pytest.raises(C.CorpusError):
-            C.filter_ads([], {("too", "short")}, cfg)
+            C.filter_ads([], {("too", "short")}, ad_cfg)
 
 
 class TestVocabulary:
