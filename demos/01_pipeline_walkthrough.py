@@ -7,11 +7,11 @@ Runs in well under a minute on a laptop CPU.
 import random
 
 from trrgen.corpus import (ReviewRecord, PreprocessConfig, normalize_corpus,
-                           build_vocabulary, encode_record, tokenize)
+                           build_vocabulary, encode_record)
 from trrgen.model import ModelConfig
 from trrgen.training import TrainOptions, train_model
 from trrgen.generation import DecodeConfig, generate, postprocess
-from trrgen.evaluation import corpus_bleu
+from trrgen.evaluation import evaluate_model
 
 # --- a tiny hand-made corpus with some PII to normalize -----------------
 rng = random.Random(0)
@@ -50,7 +50,6 @@ for rec, enc in zip(records[:4], encoded[:4]):
     text = postprocess(generate(enc, result.params, config, decode), vocab)
     print(f"  [{rec.category}/{rec.rating}*] {rec.review_text!r} -> {text!r}")
 
-cands = [tokenize(postprocess(generate(e, result.params, config, decode), vocab))
-         for e in encoded]
-refs = [tokenize(r.response_text) for r in records]
-print("training-set BLEU-4:", round(corpus_bleu(cands, refs).bleu, 2))
+report = evaluate_model(result.params, config, vocab, encoded,
+                        [r.response_text for r in records], decode)
+print("training-set BLEU-4:", round(report.bleu, 2))

@@ -13,8 +13,9 @@ from trrgen.corpus import (ReviewRecord, PreprocessConfig, build_vocabulary,
                            encode_record, tokenize)
 from trrgen.model import ModelConfig
 from trrgen.training import TrainOptions, train_model
-from trrgen.generation import DecodeConfig, generate, postprocess
-from trrgen.evaluation import corpus_bleu, random_selection_baseline, format_report_table
+from trrgen.generation import DecodeConfig
+from trrgen.evaluation import (corpus_bleu, evaluate_model, random_selection_baseline,
+                               format_report_table)
 
 TEMPLATES = {
     "CAT_A": "alpha bravo charlie delta echo foxtrot golf",
@@ -37,7 +38,7 @@ pre = PreprocessConfig()
 vocab = build_vocabulary(train, min_freq=1)
 train_e = [encode_record(r, vocab, pre) for r in train]
 test_e = [encode_record(r, vocab, pre) for r in test]
-refs = [tokenize(r.response_text) for r in test]
+refs = [r.response_text for r in test]
 decode = DecodeConfig()
 
 base_config = ModelConfig(vocab_size=len(vocab), d_model=32, n_heads=4,
@@ -51,11 +52,10 @@ for variant in ("vanilla", "category_only", "trrgen_concat", "trrgen_order"):
     result = train_model(train_e, [], config,
                          TrainOptions(lr=3e-3, batch_size=32, epochs=epochs,
                                       seed=0, stop_loss=0.05))
-    cands = [tokenize(postprocess(generate(e, result.params, config, decode), vocab))
-             for e in test_e]
-    reports.append(corpus_bleu(cands, refs, label=variant))
+    reports.append(evaluate_model(result.params, config, vocab, test_e, refs, decode,
+                                  label=variant))
 
 baseline = random_selection_baseline([r.response_text for r in train], len(test), 0)
-reports.append(corpus_bleu([tokenize(c) for c in baseline], refs,
+reports.append(corpus_bleu([tokenize(c) for c in baseline], [tokenize(r) for r in refs],
                            label="random_selection"))
 print(format_report_table(reports))

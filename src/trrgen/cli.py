@@ -2,10 +2,10 @@
 generate, evaluate, ablate.
 
 Configuration is a flat JSON file that may hold any setting; a command takes
-a same-named flag (flags win) only for the settings of the dataclasses it
-builds (`ACCEPTS`), and TRRGEN_SEED overrides the seed. Text is normalized
-before it is encoded, as the checkpoint's own run did for `generate` and
-`evaluate`. Machine outputs are UTF-8 JSON-Lines; a failure exits 1 with one "error:" line.
+a same-named flag (flags win) only for the settings it reads (`ACCEPTS`),
+and TRRGEN_SEED overrides the seed. Text is normalized before it is encoded,
+as the checkpoint's own run did for `generate` and `evaluate`. Machine
+outputs are UTF-8 JSON-Lines; a failure exits 1 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import corpus as C
 from .checkpoint import save_checkpoint, load_checkpoint
 from .evaluation import (corpus_bleu, evaluate_model, random_selection_baseline,
                          format_report_table)
-from .generation import DecodeConfig, generate, generate_all, postprocess, response_ids
+from .generation import DecodeConfig, generate_all, postprocess
 from .model import ModelConfig, FUSION_VARIANTS
 from .training import TrainOptions, train_model
 
@@ -131,10 +131,10 @@ def _keys(*classes) -> frozenset:
                                             for f in dataclasses.fields(cls))
 
 
-# The settings each command takes flags for: those of the dataclasses its `cmd_*`
-# builds. `generate` and `evaluate` take the model and the text encoding from
-# the checkpoint, and `ablate` sets `fusion_variant` from `--variants`.
-ACCEPTS = {**dict.fromkeys(["preprocess", "report-ads"], _keys(C.PreprocessConfig, C.AdConfig)),
+# The settings each command takes flags for: those its `cmd_*` reads. `generate`
+# and `evaluate` take the model and the text encoding from the checkpoint, and
+# `ablate` sets `fusion_variant` from `--variants`.
+ACCEPTS = {**dict.fromkeys(["preprocess", "report-ads"], _keys(C.AdConfig) | {"lowercase"}),
            "build-vocab": frozenset({"min_freq"}),
            "train": _keys(ModelConfig, C.PreprocessConfig, TrainOptions),
            **dict.fromkeys(["generate", "evaluate"], _keys(DecodeConfig)),
@@ -250,8 +250,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     decode, params, config, vocab, pre_cfg = _load_model(args)
+    inputs = []  # (batch object or None, encoded review), all checked before decoding
     if args.batch:
-        inputs = []  # every line is checked before the first response is generated
         with open(args.batch, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -269,16 +269,16 @@ def cmd_generate(args) -> int:
                     raise CliError(f"{where}: expected an object with a review, an integer "
                                    f"rating and a category ({exc})") from None
                 inputs.append((obj, _encode(rec, vocab, pre_cfg, where)))
-        hyps = generate_all([encoded for _, encoded in inputs], params, config, decode)
-        for (obj, _), hyp in zip(inputs, hyps):
-            response = postprocess(response_ids(hyp), vocab)
-            print(json.dumps({"input": obj, "response": response}, ensure_ascii=False))
     else:
         if args.review is None or args.rating is None or args.category is None:
             raise CliError("generate requires --review, --rating and --category (or --batch)")
         rec = C.ReviewRecord("", args.category, args.rating, args.review)
-        encoded = _encode(rec, vocab, pre_cfg, "input")
-        print(postprocess(generate(encoded, params, config, decode), vocab))
+        inputs.append((None, _encode(rec, vocab, pre_cfg, "input")))
+    responses = generate_all([encoded for _, encoded in inputs], params, config, decode)
+    for (obj, _), ids in zip(inputs, responses):
+        response = postprocess(ids, vocab)
+        print(json.dumps({"input": obj, "response": response}, ensure_ascii=False)
+              if args.batch else response)
     return 0
 
 

@@ -10,11 +10,12 @@ together, and each step runs only the newest position of every live
 hypothesis of every unfinished review, in one call of `model.decoder_step`
 (the decoder core that training also runs) against the group's key/value
 cache, so no step recomputes a prefix. Each review keeps its own beam, so
-its output does not depend on the other reviews of its group. `generate`
-decodes one review, and `generate_all` many, in groups that keep a step
-within MAX_BEAM_WIDTH rows. Tests hold the loop to the per-review,
-per-prefix decoders of `tests/decode_reference.py`, which rerun that file's
-reference decoder on every prefix.
+its response (the winner without ⟨sos⟩ and ⟨eos⟩) does not depend on the
+other reviews of its group. `generate` decodes one review, and
+`generate_all` many, in groups that keep a step within MAX_BEAM_WIDTH rows.
+Tests hold the loop to the per-review, per-prefix decoders of
+`tests/decode_reference.py`, which rerun that file's reference decoder on
+every prefix.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutp
     and its rows leave the cache. Its best finished hypothesis (or, failing
     any, its best live one) wins.
 
-    Returns each review's winner without ⟨sos⟩; it ends in ⟨eos⟩ unless
-    decoding stopped at the length cap.
+    Returns each review's response: its winner without ⟨sos⟩ and ⟨eos⟩,
+    `length_cap` tokens long exactly when decoding stopped at the cap.
     """
     max_len, width = decode.length_cap(config), decode.width
     live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
@@ -143,21 +144,17 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutp
 
     def final_score(hyp):
         tokens, score = hyp
-        length = max(len(tokens) - 1, 1)  # exclude ⟨sos⟩
+        length = max(len(tokens) - 1, 1)  # exclude ⟨sos⟩; a finished one's ⟨eos⟩ counts
         return score / (length ** decode.length_penalty)
 
-    return [max(done or left, key=final_score)[0][1:] for done, left in zip(finished, live)]
-
-
-def response_ids(hyp: list[int]) -> list[int]:
-    """A decoded hypothesis without its final ⟨eos⟩, if it has one."""
-    return hyp[:-1] if hyp and hyp[-1] == EOS_ID else hyp
+    return [max(done, key=final_score)[0][1:-1] if done else max(left, key=final_score)[0][1:]
+            for done, left in zip(finished, live)]
 
 
 def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
                 decode: DecodeConfig) -> list[int]:
-    """`decode_group` for one review, with ⟨eos⟩ stripped."""
-    return response_ids(decode_group(params, config, [enc], decode)[0])
+    """`decode_group` for one review: its response."""
+    return decode_group(params, config, [enc], decode)[0]
 
 
 def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,
@@ -169,14 +166,14 @@ def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,
 def generate_all(records: list[EncodedRecord], params: Parameters, config: ModelConfig,
                  decode: DecodeConfig) -> list[list[int]]:
     """`decode_group` over `records` in input order, in groups of as many
-    reviews as keep a step within MAX_BEAM_WIDTH rows; one hypothesis per
-    record, in input order, as `decode_group` returns it."""
+    reviews as keep a step within MAX_BEAM_WIDTH rows; one response per
+    record, in input order."""
     size = max(1, MAX_BEAM_WIDTH // decode.width)
-    hyps = []
+    responses = []
     for i in range(0, len(records), size):
         encs = [encode_review(rec, params, config, tape=None) for rec in records[i:i + size]]
-        hyps += decode_group(params, config, encs, decode)
-    return hyps
+        responses += decode_group(params, config, encs, decode)
+    return responses
 
 
 def postprocess(token_ids: list[int], vocab: Vocabulary) -> str:

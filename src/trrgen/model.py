@@ -243,7 +243,7 @@ def _attend(q: Tensor, k_t: Tensor, v: Tensor, mask: np.ndarray | None,
     return matmul(attn, v, tape), attn
 
 
-def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
+def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None,
                          p: AttentionParams, tape: Tape | None,
                          d_k: int, return_weights: bool = False):
     """softmax(Q Kᵀ / sqrt(d_k) + mask) V for all heads at once, merged and
@@ -251,9 +251,9 @@ def multi_head_attention(x_q: Tensor, x_kv: Tensor, mask: np.ndarray,
 
     Inputs are [..., T, d] with leading batch axes that broadcast, such as
     [W, Tq, d] queries against one [Tk, d] encoder output; the additive mask
-    broadcasts onto the [..., H, Tq, Tk] scores."""
+    broadcasts onto the [..., H, Tq, Tk] scores, and None masks nothing."""
     tq, tk = x_q.values.shape[-2], x_kv.values.shape[-2]
-    if any(m not in (1, n) for n, m in zip((tk, tq), mask.shape[::-1])):
+    if mask is not None and any(m not in (1, n) for n, m in zip((tk, tq), mask.shape[::-1])):
         raise ConfigError(f"mask shape {mask.shape} does not broadcast to {(tq, tk)}")
     z, attn = _attend(_heads(x_q, p.wq, d_k, tape), _heads(x_kv, p.wk, d_k, tape, keys=True),
                       _heads(x_kv, p.wv, d_k, tape), mask, tape)
@@ -385,11 +385,11 @@ def _encoder_states(x: Tensor, src_mask: np.ndarray | None, rows: np.ndarray | N
     return h
 
 
-def encode(x: Tensor, src_mask: np.ndarray, params: Parameters, config: ModelConfig,
+def encode(x: Tensor, src_mask: np.ndarray | None, params: Parameters, config: ModelConfig,
            tape: Tape | None = None, training: bool = False,
            rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Encoder states for [..., n, d] inputs; `src_mask` is an additive key
-    mask that broadcasts onto the [..., H, n, n] attention scores."""
+    """Encoder states for [..., n, d] inputs; `src_mask` is None (no mask) or an
+    additive key mask that broadcasts onto the [..., H, n, n] attention scores."""
     return EncoderOutput(_encoder_states(x, src_mask, None, params, config, tape, training, rng),
                          src_mask)
 
@@ -533,11 +533,10 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,
                   tape: Tape | None = None, training: bool = False,
                   rng: np.random.Generator | None = None) -> EncoderOutput:
-    """embed_review + encode for one encoded record (no padding within one example)."""
+    """embed_review + encode for one encoded record, which has no padding to mask."""
     x = embed_review(rec.src_ids, rec.rating_id, rec.category_id,
                      config.fusion_variant, params, tape)
-    src_mask = np.zeros(x.values.shape[0])
-    return encode(x, src_mask, params, config, tape, training, rng)
+    return encode(x, None, params, config, tape, training, rng)
 
 
 def forward_training(batch: list[EncodedRecord], params: Parameters,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
                            tokenize, SOS_ID, EOS_ID)
 from trrgen.generation import (DecodeConfig, beam_decode, decode_group, generate, generate_all,
-                               postprocess, response_ids)
+                               postprocess)
 
 import decode_reference as ref
 
@@ -219,8 +221,7 @@ class TestGroupDecoding:
            st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.sampled_from([None, 2, 5]))
     def test_token_identical_to_each_review_alone(self, seed, reviews, ratings, width,
                                                    penalty, boosted, max_len):
-        """Boosted ⟨eos⟩ makes reviews finish at different steps; a
-        response without ⟨eos⟩ stopped at the length cap."""
+        """Boosted ⟨eos⟩ makes reviews finish at different steps."""
         cases = {label: (params, config) for label, params, config in seeded_and_eos_boosted(
             seed, n_layers=1 + seed % 2, variant=M.FUSION_VARIANTS[seed % 6])}
         params, config = cases["eos_boosted" if boosted else "seeded"]
@@ -233,9 +234,9 @@ class TestGroupDecoding:
                                 ref.beam_decode)):
             hyps = decode_group(params, config, encs, decode)
             want = [oracle(params, config, enc, decode) for enc in encs]
-            assert [response_ids(hyp) for hyp in hyps] == want
+            assert hyps == want
             cap = decode.max_len or config.max_tgt_len - 1
-            assert all(hyp[-1] == EOS_ID or len(hyp) == cap for hyp in hyps)
+            assert all(EOS_ID not in hyp and len(hyp) <= cap for hyp in hyps)
             assert generate_all(records, params, config, decode) == hyps
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -297,6 +298,96 @@ class TestGroupDecoding:
             sizes.clear()
             assert len(generate_all(records, params, config, decode)) == 70
             assert sizes == want
+
+
+def eos_biased(seeds):
+    """Sharpened random models with ⟨eos⟩ boosted by 0, 2 and 3; over a few
+    seeds their responses take most lengths from 0 to the cap."""
+    for seed in seeds:
+        for bias in (0.0, 2.0, 3.0):
+            params, config = random_model(seed)
+            params.out_proj.values *= 2.5
+            params.out_bias.values[EOS_ID] += bias
+            yield seed, params, config
+
+
+class TestResponses:
+    """What leaves the decoder is each review's response: no ⟨eos⟩, and
+    exactly the length cap long only when decoding stopped at the cap."""
+
+    @staticmethod
+    def records(seed):
+        return [EncodedRecord([9 + (seed + i) % 5, 10 + i % 3][:1 + i % 2], [2, 3], 4 + i % 5,
+                              9 + i % 2) for i in range(6)]
+
+    def test_no_entry_point_returns_eos(self):
+        lengths = set()
+        for seed, params, config in eos_biased(range(8)):
+            records = self.records(seed)
+            encs = [M.encode_review(rec, params, config) for rec in records]
+            cap = config.max_tgt_len - 1
+            for decode in (DecodeConfig(), DecodeConfig(strategy="beam", beam_width=3)):
+                responses = [*decode_group(params, config, encs, decode),
+                             *generate_all(records, params, config, decode),
+                             *(beam_decode(params, config, enc, decode) for enc in encs)]
+                assert all(EOS_ID not in ids and len(ids) <= cap for ids in responses)
+                lengths.update(len(ids) for ids in responses)
+        assert {0, 1, cap - 1, cap} <= lengths
+
+    def test_greedy_response_one_step_later(self):
+        """At cap + 1, a greedy response shorter than the cap, which stopped
+        at ⟨eos⟩, is unchanged, and one exactly the cap long, which stopped
+        at the cap, is a prefix of the new response."""
+        ended = capped = 0
+        for seed, params, config in eos_biased(range(8)):
+            records = self.records(seed)
+            for cap in range(1, config.max_tgt_len - 1):
+                now, later = (generate_all(records, params, config, DecodeConfig(max_len=n))
+                              for n in (cap, cap + 1))
+                for ids, more in zip(now, later):
+                    assert EOS_ID not in ids and len(ids) <= cap
+                    assert (ids == more) if len(ids) < cap else (more[:cap] == ids)
+                    ended += len(ids) < cap
+                    capped += len(ids) == cap
+        assert ended > 100 and capped > 100
+
+
+# The features each variant does not read, and one it does, as EncodedRecord
+# fields; SWAPS moves each to another valid id.
+UNREAD = {"vanilla": ("rating_id", "category_id"), "rating_only": ("category_id",),
+          "category_only": ("rating_id",)}
+READ = {"vanilla": "src_ids", "rating_only": "rating_id", "category_only": "category_id"}
+SWAPS = {"src_ids": lambda ids: [13 + (t - 12) % 27 for t in ids],
+         "rating_id": lambda r: 4 + (r - 3) % 5, "category_id": lambda c: 9 + (c - 8) % 4}
+
+
+class TestUnreadFeatures:
+    """A variant's responses are bitwise independent of every feature it does
+    not read. Swapping one it reads changes some response, so the check
+    cannot pass on responses that ignore their input."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("variant", sorted(UNREAD))
+    def test_responses_ignore_unread_features(self, variant, n_layers):
+        config = M.ModelConfig(vocab_size=40, d_model=16, n_heads=2, n_layers=n_layers,
+                               d_ff=32, max_tgt_len=9, dropout=0.0, fusion_variant=variant,
+                               seed=n_layers)
+        params = M.init_parameters(config, seed=n_layers)
+        # nothing finishes, so every response has all 8 tokens that a swap may change
+        params.out_bias.values[EOS_ID] = -1e9
+        rng = np.random.default_rng(n_layers)
+        records = [EncodedRecord(rng.integers(13, 40, rng.integers(1, 8)).tolist(), [2, 3],
+                                 int(rng.integers(4, 9)), int(rng.integers(9, 13)))
+                   for _ in range(20)]
+
+        def swapped(field):
+            return [dataclasses.replace(rec, **{field: SWAPS[field](getattr(rec, field))})
+                    for rec in records]
+        for decode in (DecodeConfig(), DecodeConfig(strategy="beam", beam_width=3)):
+            responses = generate_all(records, params, config, decode)
+            for field in UNREAD[variant]:
+                assert generate_all(swapped(field), params, config, decode) == responses, field
+            assert generate_all(swapped(READ[variant]), params, config, decode) != responses
 
 
 class TestPostprocess:

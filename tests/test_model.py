@@ -373,6 +373,21 @@ class TestEncoder:
         b = encode_for(variant, 5, tiny_params, tiny_config).states.values
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    def test_review_needs_no_mask(self, variant):
+        """`encode_review` passes no key mask: its states equal, bitwise,
+        those under the all-zero mask of a review's keys."""
+        config = M.ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                               max_tgt_len=10, dropout=0.0, fusion_variant=variant, seed=0)
+        params = M.init_parameters(config, seed=0)
+        rng = np.random.default_rng(0)
+        for n in (1, 5, 100):
+            rec = EncodedRecord(rng.integers(13, 40, n).tolist(), [2, 3], 5, 10)
+            enc = M.encode_review(rec, params, config)
+            zero = encode_for(variant, 5, params, config, src=rec.src_ids, cat_id=10)
+            assert enc.src_mask is None
+            np.testing.assert_array_equal(enc.states.values, zero.states.values)
+
 
 class TestDecoder:
     def test_single_sos_gives_one_row(self, tiny_config, tiny_params):

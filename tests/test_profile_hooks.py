@@ -13,14 +13,18 @@ TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
 
 def test_only_the_deleted_decode_hooks_are_skipped():
-    """`generation` no longer calls `greedy_decode` or `decoder_forward`; the
-    model's own `decoder_forward` hook stays, as training still runs it."""
+    """`generation` no longer calls `greedy_decode` or `decoder_forward`, and
+    `evaluation` no longer imports `generate`; the model's own
+    `decoder_forward` hook stays, as training still runs it, and so does the
+    `generation.generate` span, through `trrgen.generation`."""
     module = types.ModuleType("tracer")
     exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
     tracer = module.Tracer()
     tracer.install()
     try:
         assert tracer.skipped == ["trrgen.generation.decoder_forward",
+                                  "trrgen.evaluation.generate",
                                   "trrgen.generation.greedy_decode"]
+        assert "generation.generate" in tracer.installed
     finally:
         tracer.uninstall()
