@@ -134,7 +134,8 @@ def _keys(*classes) -> frozenset:
 # The settings each command takes flags for: those its `cmd_*` reads. `generate`
 # and `evaluate` take the model and the text encoding from the checkpoint, and
 # `ablate` sets `fusion_variant` from `--variants`.
-ACCEPTS = {**dict.fromkeys(["preprocess", "report-ads"], _keys(C.AdConfig) | {"lowercase"}),
+ACCEPTS = {"preprocess": frozenset({"lowercase", "ad_ngram_n"}),
+           "report-ads": _keys(C.AdConfig) | {"lowercase"},
            "build-vocab": frozenset({"min_freq"}),
            "train": _keys(ModelConfig, C.PreprocessConfig, TrainOptions),
            **dict.fromkeys(["generate", "evaluate"], _keys(DecodeConfig)),
@@ -197,9 +198,10 @@ def cmd_build_vocab(args) -> int:
 
 
 def _encode(record, vocab, pre_cfg, where):
-    """`record`, review and response normalized, checked and encoded; an error names `where`."""
-    (record,) = C.normalize_corpus([record], pre_cfg)
+    """`record` checked, then its review and response normalized and encoded;
+    an error names `where`."""
     record.validate(where)
+    (record,) = C.normalize_corpus([record], pre_cfg)
     try:
         return C.encode_record(record, vocab, pre_cfg)
     except C.CorpusError as exc:
@@ -249,6 +251,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    flag_review = [args.review, args.rating, args.category]
+    if args.batch and flag_review != [None] * 3:
+        raise CliError("generate takes --batch or --review, --rating and --category, not both")
+    if not args.batch and None in flag_review:
+        raise CliError("generate requires --review, --rating and --category (or --batch)")
     decode, params, config, vocab, pre_cfg = _load_model(args)
     inputs = []  # (batch object or None, encoded review), all checked before decoding
     if args.batch:
@@ -259,8 +266,7 @@ def cmd_generate(args) -> int:
                 where = f"{args.batch}:{lineno}"
                 try:
                     obj = json.loads(line)
-                    rec = C.ReviewRecord("", str(obj["category"]), obj["rating"],
-                                         str(obj["review"]))
+                    rec = C.ReviewRecord("", obj["category"], obj["rating"], obj["review"])
                 except json.JSONDecodeError as exc:
                     raise CliError(f"{where}: malformed JSON ({exc})") from None
                 except KeyError as exc:
@@ -270,8 +276,6 @@ def cmd_generate(args) -> int:
                                    f"rating and a category ({exc})") from None
                 inputs.append((obj, _encode(rec, vocab, pre_cfg, where)))
     else:
-        if args.review is None or args.rating is None or args.category is None:
-            raise CliError("generate requires --review, --rating and --category (or --batch)")
         rec = C.ReviewRecord("", args.category, args.rating, args.review)
         inputs.append((None, _encode(rec, vocab, pre_cfg, "input")))
     responses = generate_all([encoded for _, encoded in inputs], params, config, decode)

@@ -54,6 +54,10 @@ class ReviewRecord:
         if type(self.rating) is not int or not 1 <= self.rating <= 5:
             raise CorpusError(f"{where}: rating must be an integer in [1,5], "
                               f"got {self.rating!r}")
+        for key, text in (("app_name", self.app_name), ("category", self.category),
+                          ("review", self.review_text), ("response", self.response_text)):
+            if type(text) is not str:
+                raise CorpusError(f"{where}: {key} must be a string, got {text!r}")
         if not tokenize(self.review_text):  # blank, or only ⟨ and ⟩, as in "⟨⟩"
             raise CorpusError(f"{where}: review text has no tokens")
 
@@ -121,9 +125,8 @@ def load_corpus(path, fmt: str = "jsonl") -> list[ReviewRecord]:
                 except json.JSONDecodeError as exc:
                     raise CorpusError(f"{where}: malformed JSON ({exc})") from None
                 try:
-                    rec = ReviewRecord(str(obj["app_name"]), str(obj["category"]),
-                                       obj["rating"], str(obj["review"]),
-                                       str(obj.get("response", "")))
+                    rec = ReviewRecord(obj["app_name"], obj["category"], obj["rating"],
+                                       obj["review"], obj.get("response", ""))
                 except (KeyError, TypeError) as exc:
                     raise CorpusError(f"{where}: bad record ({exc})") from None
             elif fmt == "tsv":

@@ -1,9 +1,9 @@
 """Feature-fused Transformer encoder-decoder.
 
-The encoder input can fuse two review-level features into the token
-embeddings: the rating (added as a vector to every token) and the app
-category (prepended as an extra position or summed in), selected by
-`fusion_variant`. Sublayers use post-norm ordering: LayerNorm(x + f(x)).
+The encoder input can fuse two review-level features, the rating and the
+app category, into the token rows: each is added to every token row or
+prepended as a row of its own, as `FUSION[fusion_variant]` sets out.
+Sublayers use post-norm ordering: LayerNorm(x + f(x)).
 
 The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
 target through it from an empty key/value cache, and `decoder_step` one new
@@ -35,8 +35,17 @@ from .tensor import (Tensor, Tape, matmul, add, scale, relu, softmax, layer_norm
 from .tensor import cross_entropy_logits  # noqa: F401
 from .corpus import EncodedRecord
 
-FUSION_VARIANTS = ("vanilla", "rating_only", "category_only",
-                   "trrgen_concat", "trrgen_sum", "trrgen_order")
+# Per variant, the features added to every token row (in add order) and those
+# prepended to the review as rows of their own (in input order). With w_i and
+# p_i the token and positional rows of token i, and r and c the rating and
+# category rows, the encoder input of each variant is:
+FUSION = {"vanilla": ((), ()),                            # [w_i + p_i]
+          "rating_only": (("rating",), ()),               # [w_i + r + p_i]
+          "category_only": ((), ("category",)),           # [c, w_i + p_i]
+          "trrgen_concat": (("rating",), ("category",)),  # [c, w_i + r + p_i]
+          "trrgen_sum": (("rating", "category"), ()),     # [w_i + r + c + p_i]
+          "trrgen_order": ((), ("category", "rating"))}   # [c, r, w_i + p_i]
+FUSION_VARIANTS = tuple(FUSION)
 
 NEG_INF = -np.inf
 
@@ -70,7 +79,7 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.max_tgt_len < 2:
             raise ConfigError("max_tgt_len must be >= 2")
-        if self.fusion_variant not in FUSION_VARIANTS:
+        if self.fusion_variant not in FUSION:
             raise ConfigError(f"unknown fusion_variant {self.fusion_variant!r}")
 
     @property
@@ -282,68 +291,47 @@ def _positions(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-# Prepended feature slots per variant, in encoder input order.
-_FEATURE_SLOTS = {"category_only": ("category",), "trrgen_concat": ("category",),
-                  "trrgen_order": ("category", "rating")}
-
-
 def _embed_rows(src_ids: np.ndarray, lengths: np.ndarray, rating_ids: np.ndarray,
                 category_ids: np.ndarray, variant: str, params: Parameters,
-                tape: Tape | None, shape: tuple) -> Tensor:
-    """Encoder inputs of reviews whose token ids lie end to end in `src_ids`,
-    `lengths[j]` of them for review j, as `embed_review` defines them: every
-    token row at once, then one gather that puts each review's feature slots
-    ahead of its tokens, through an index array of `shape`."""
-    if variant not in FUSION_VARIANTS:
+                tape: Tape | None) -> Tensor:
+    """Packed encoder inputs [Σ fused rows, d_model] of reviews whose token ids
+    lie end to end in `src_ids`, `lengths[j]` of them for review j, fused as
+    `FUSION[variant]` sets out: every token row at once, then one gather that
+    puts each review's prepended feature rows ahead of its tokens. Prepended
+    rows carry no positional term."""
+    if variant not in FUSION:
         raise ConfigError(f"unknown fusion_variant {variant!r}")
     if lengths.min(initial=1) < 1:
         raise ConfigError("every review needs at least one token")
     d = params.embedding.values.shape[1]
     review, pos = np.repeat(np.arange(len(lengths)), lengths), _positions(lengths)
-    x = embedding_lookup(params.embedding, src_ids, tape)
-    if variant in ("rating_only", "trrgen_concat", "trrgen_sum"):
-        x = add(x, embedding_lookup(params.embedding, rating_ids[review], tape), tape)
-    if variant == "trrgen_sum":
-        x = add(x, embedding_lookup(params.embedding, category_ids[review], tape), tape)
-    x = add(x, positional_encoding(int(lengths.max(initial=1)), d)[pos], tape)
-
+    added, prepended = FUSION[variant]
     ids = {"category": category_ids, "rating": rating_ids}
-    slots = [ids[slot] for slot in _FEATURE_SLOTS.get(variant, ())]
-    order = len(slots) * len(lengths) + np.arange(len(src_ids))  # after the feature rows
-    if slots:
-        features = np.stack(slots, axis=1).reshape(-1)  # review by review, in slot order
-        x = concat_rows([embedding_lookup(params.embedding, features, tape), x], tape)
-        token_starts = np.cumsum(lengths) - lengths
-        order = np.insert(order, np.repeat(token_starts, len(slots)), np.arange(features.size))
-    return embedding_lookup(x, order.reshape(shape), tape)
+    x = embedding_lookup(params.embedding, src_ids, tape)
+    for feature in added:
+        x = add(x, embedding_lookup(params.embedding, ids[feature][review], tape), tape)
+    x = add(x, positional_encoding(int(lengths.max(initial=1)), d)[pos], tape)
+    if not prepended:
+        return x
+    features = np.stack([ids[f] for f in prepended], axis=1).reshape(-1)  # review by review
+    x = concat_rows([embedding_lookup(params.embedding, features, tape), x], tape)
+    order = features.size + np.arange(len(src_ids))  # token rows follow the feature rows
+    token_starts = np.cumsum(lengths) - lengths
+    order = np.insert(order, np.repeat(token_starts, len(prepended)), np.arange(features.size))
+    return embedding_lookup(x, order, tape)
 
 
-def embed_review(src_ids, rating_id: int | np.ndarray, category_id: int | np.ndarray,
-                 variant: str, params: Parameters, tape: Tape | None = None) -> Tensor:
-    """Build the encoder input sequence for the chosen fusion variant.
-
-    With w_i the token embedding, r/c the rating/category embedding rows and
-    p_i the positional row for index i within the review tokens:
-
-      vanilla        x_i = w_i + p_i            X = [x_1..x_n]
-      rating_only    x_i = w_i + r + p_i        X = [x_1..x_n]
-      category_only  x_i = w_i + p_i            X = [c, x_1..x_n]
-      trrgen_concat  x_i = w_i + r + p_i        X = [c, x_1..x_n]
-      trrgen_sum     x_i = w_i + r + c + p_i    X = [x_1..x_n]
-      trrgen_order   x_i = w_i + p_i            X = [c, r, x_1..x_n]
-
-    Prepended feature slots carry no positional or rating term. `src_ids` is
-    [..., n]; the rating and category ids are scalars or arrays that broadcast
-    to its leading axes, and the result is [..., fused length, d_model].
-    """
+def embed_review(src_ids, rating_id: int, category_id: int, variant: str,
+                 params: Parameters, tape: Tape | None = None) -> Tensor:
+    """The encoder input [fused length, d_model] of one review: its 1-D token
+    ids `src_ids` fused with its rating and category ids, as `_embed_rows`
+    does for packed reviews."""
     src_ids = np.asarray(src_ids, dtype=np.int64)
-    *lead, n = src_ids.shape
-    fused = n + len(_FEATURE_SLOTS.get(variant, ()))
-    reviews = int(np.prod(lead, dtype=np.int64))
-    return _embed_rows(src_ids.reshape(-1), np.full(reviews, n),
-                       np.broadcast_to(rating_id, lead).reshape(-1),
-                       np.broadcast_to(category_id, lead).reshape(-1),
-                       variant, params, tape, (*lead, fused))
+    if src_ids.ndim != 1:
+        raise ConfigError(f"embed_review takes one review's 1-D token ids, "
+                          f"got shape {src_ids.shape}")
+    return _embed_rows(src_ids, np.array([len(src_ids)]), np.array([rating_id]),
+                       np.array([category_id]), variant, params, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +546,11 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
     tgt = [np.asarray(r.tgt_ids, dtype=np.int64) for r in batch]
     src_lengths = np.array([len(s) for s in src])
     tgt_rows = np.array([len(t) - 1 for t in tgt])
-    src_rows = src_lengths + len(_FEATURE_SLOTS.get(config.fusion_variant, ()))
+    src_rows = src_lengths + len(FUSION[config.fusion_variant][1])
     x = _embed_rows(np.concatenate(src), src_lengths,
                     np.array([r.rating_id for r in batch]),
                     np.array([r.category_id for r in batch]),
-                    config.fusion_variant, params, tape, (src_rows.sum(),))
+                    config.fusion_variant, params, tape)
     states = _encoder_states(x, None, src_rows, params, config, tape, training, rng)
     cache = init_decoder_cache(EncoderOutput(states, src_mask=None, rows=src_rows),
                                params, config, tape)

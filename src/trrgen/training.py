@@ -33,6 +33,7 @@ class TrainOptions:
                  ("batch_size", self.batch_size >= 1, ">= 1"),
                  ("validate_every", self.validate_every >= 1, ">= 1"),
                  ("patience", self.patience >= 0, ">= 0"),
+                 ("seed", self.seed >= 0, ">= 0"),
                  ("lr", 0 < self.lr <= sys.float_info.max, "finite and > 0"),
                  ("adam_eps", 0 < self.adam_eps <= sys.float_info.max, "finite and > 0"),
                  ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),

@@ -79,6 +79,19 @@ class TestPreprocess:
                     "--output", tmp_path / "x"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("field,value", [("review", None), ("review", 12345),
+                                             ("response", None), ("app_name", ["a"])])
+    def test_text_field_must_be_a_string(self, tmp_path, capsys, field, value):
+        """Not the text "none" or "12345": the run writes no corpus."""
+        good = {"app_name": "a", "category": "T", "rating": 3, "review": "x", "response": "y"}
+        src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        src.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert run(["preprocess", "--input", src, "--output", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {src}:2: {field} must be a string, got {value!r}"]
+        assert captured.out == "" and not out.exists()
+
 
 class TestReportAds:
     def test_planted_ngram_reported(self, tmp_path, capsys):
@@ -213,6 +226,32 @@ class TestTrainGenerateEvaluate:
             err = captured.err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"error: {batch}:3: "), (bad, err)
             assert captured.out == "", bad
+
+    @pytest.mark.parametrize("field,value", [("review", None), ("review", 12345),
+                                             ("category", None), ("category", ["GAME"])])
+    def test_generate_batch_text_field_must_be_a_string(self, session_checkpoint, tmp_path,
+                                                       capsys, field, value):
+        """A null or numeric review is one error line, not a response to "none"."""
+        good = {"review": "love it", "rating": 5, "category": "GAME"}
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        assert run(["generate", "--checkpoint", session_checkpoint, "--batch", batch]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {batch}:2: {field} must be a string, got {value!r}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [["--review", "love it"], ["--rating", "5"],
+                                       ["--category", "GAME"]])
+    def test_generate_batch_excludes_a_flag_review(self, tmp_path, capsys, flags):
+        """The flag review is not silently dropped: the run ends before the
+        checkpoint is read."""
+        batch = tmp_path / "batch.jsonl"
+        batch.write_text(json.dumps({"review": "love it", "rating": 5, "category": "GAME"}))
+        code = run(["generate", "--checkpoint", tmp_path / "missing.ckpt", "--batch", batch,
+                    *flags])
+        assert_one_error_line(code, capsys, "error: generate takes --batch or --review, "
+                              "--rating and --category, not both")
 
     @pytest.mark.parametrize("review", ["⟨⟩", " ⟨ ⟩ "])
     def test_review_without_tokens_is_one_error_line(self, session_checkpoint, corpus_file,
@@ -640,7 +679,8 @@ COMPONENTS = (ModelConfig, PreprocessConfig, AdConfig, TrainOptions, DecodeConfi
 
 # The settings each command takes flags for, written out so that the tests do
 # not read the table they check: the keys the command reads. `preprocess` and
-# `report-ads` only normalize, so of the encoding keys they read `lowercase`.
+# `report-ads` only normalize, so of the encoding keys they read `lowercase`;
+# of the ad keys, `preprocess` reads only the n-gram length its blocklist needs.
 PREPROCESS_KEYS = {"lowercase", "max_review_tokens", "max_response_tokens"}
 AD_KEYS = {"ad_ngram_n", "ad_flag_threshold"}
 DECODE_KEYS = {"strategy", "beam_width", "decode_max_len", "length_penalty"}
@@ -648,7 +688,7 @@ MODEL_KEYS = {"d_model", "n_heads", "n_layers", "d_ff", "max_tgt_len", "fusion_v
               "dropout", "seed"}
 TRAIN_OPTION_KEYS = {"lr", "beta1", "beta2", "adam_eps", "batch_size", "epochs", "patience",
                      "validate_every", "seed"}
-ACCEPTED = {"preprocess": {"lowercase"} | AD_KEYS, "report-ads": {"lowercase"} | AD_KEYS,
+ACCEPTED = {"preprocess": {"lowercase", "ad_ngram_n"}, "report-ads": {"lowercase"} | AD_KEYS,
             "build-vocab": {"min_freq"},
             "train": MODEL_KEYS | PREPROCESS_KEYS | TRAIN_OPTION_KEYS,
             "generate": DECODE_KEYS, "evaluate": DECODE_KEYS,
@@ -918,8 +958,8 @@ def valid_text(key):
 
 class TestFlagsPerCommand:
     def test_table_sizes(self):
-        """Seven commands by 29 settings: 60 pairs are taken, 143 are not."""
-        assert len(ACCEPTED) == 7 and len(ACCEPTED_PAIRS) == 60 and len(FOREIGN_PAIRS) == 143
+        """Seven commands by 29 settings: 59 pairs are taken, 144 are not."""
+        assert len(ACCEPTED) == 7 and len(ACCEPTED_PAIRS) == 59 and len(FOREIGN_PAIRS) == 144
 
     @pytest.mark.parametrize("command,key", FOREIGN_PAIRS)
     def test_foreign_flag_is_one_error_line(self, session_files, tmp_path, capsys, command, key):
@@ -966,11 +1006,20 @@ class TestTrainingSettingsFirst:
         (["--max-response-tokens", "200"],
          ["error: --max-response-tokens 200 needs --max-tgt-len 199 or more, got 120"]),
         (["--max-tgt-len", "50"],
-         ["error: --max-response-tokens 120 needs --max-tgt-len 119 or more, got 50"])])
+         ["error: --max-response-tokens 120 needs --max-tgt-len 119 or more, got 50"]),
+        (["--seed", "-1"], ["error: seed must be >= 0, got -1"])])
     def test_bad_setting_with_missing_files(self, tmp_path, capsys, command, flags, words):
         files = missing_files(tmp_path)
         out = tmp_path / "out"
         assert_one_error_line(run(command_line(command, files, out) + flags), capsys, *words)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_env_seed_with_missing_files(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("TRRGEN_SEED", "-1")
+        files, out = missing_files(tmp_path), tmp_path / "out"
+        assert_one_error_line(run(command_line(command, files, out)), capsys,
+                              "error: seed must be >= 0, got -1")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,words", [

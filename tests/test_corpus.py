@@ -361,6 +361,18 @@ class TestLoadCorpus:
         with pytest.raises(C.CorpusError, match=":2"):
             C.load_corpus(path)
 
+    @pytest.mark.parametrize("field,value", [("review", None), ("review", 12345),
+                                             ("response", None), ("response", ["y"]),
+                                             ("category", 7), ("app_name", None)])
+    def test_text_field_must_be_a_string(self, tmp_path, field, value):
+        """Not the text "none" or "12345": a JSON null or number is no review."""
+        good = {"app_name": "a", "category": "T", "rating": 3, "review": "x", "response": "y"}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        message = f"bad.jsonl:2: {field} must be a string, got {value!r}"
+        with pytest.raises(C.CorpusError, match=re.escape(message) + "$"):
+            C.load_corpus(path)
+
     def test_tsv(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("app\tTOOLS\t4\tnice one\tthanks\n")

@@ -132,25 +132,24 @@ class TestEmbedReview:
         np.testing.assert_allclose(x, expected)
 
     @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
-    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
-    def test_leading_axes_match_single_reviews_with_gradients(self, tiny_config, variant,
-                                                              lead):
+    def test_gradients(self, tiny_config, variant):
         params = M.init_parameters(tiny_config, seed=2)
-        rng = np.random.default_rng(len(lead))
-        src = rng.integers(10, 20, size=(*lead, 4))
-        ratings = rng.integers(4, 9, size=lead)
-        x = M.embed_review(src, ratings, 9, variant, params).values
-        for i in np.ndindex(*lead):
-            single = M.embed_review(list(src[i]), int(ratings[i]), 9, variant, params)
-            np.testing.assert_array_equal(x[i], single.values)
-
+        rng = np.random.default_rng(M.FUSION_VARIANTS.index(variant))
+        src = rng.integers(10, 20, size=4)
         r = Tensor(rng.normal(size=(8, 1)))
 
         def build():
             tape = Tape()
-            y = M.embed_review(src, ratings, 9, variant, params, tape)
+            y = M.embed_review(src, 5, 9, variant, params, tape)
             return sum_all(matmul(softmax(y, tape), r, tape), tape), tape
         assert grad_check(build, [params.embedding]) <= 1e-6
+
+    @pytest.mark.parametrize("src", [[[10, 11], [12, 13]], 10])
+    def test_ids_must_be_one_review(self, tiny_params, src):
+        """Only 1-D ids embed: [n, n] ids would otherwise broadcast against
+        the [n, d] positional rows."""
+        with pytest.raises(M.ConfigError, match="1-D token ids"):
+            M.embed_review(src, 4, 9, "vanilla", tiny_params)
 
 
 class TestAttention:
@@ -694,7 +693,7 @@ class TestPackedDropoutDraws:
                  EncodedRecord([12, 14, 16, 18], [SOS_ID, 3], 6, 9)]
         rng = RecordingGenerator(0)
         M.forward_training(batch, M.init_parameters(config), config, Tape(), rng)
-        n_s = 8 + 3 * len(M._FEATURE_SLOTS.get(variant, ()))
+        n_s = 8 + 3 * len(M.FUSION[variant][1])
         n_t = 7
         assert rng.shapes == ([(n_s, 8)] * (1 + 2 * n_layers) +
                               [(n_t, 8)] * (1 + 3 * n_layers))

@@ -15,8 +15,9 @@ TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 def test_only_the_deleted_decode_hooks_are_skipped():
     """`generation` no longer calls `greedy_decode` or `decoder_forward`, and
     `evaluation` no longer imports `generate`; the model's own
-    `decoder_forward` hook stays, as training still runs it, and so does the
-    `generation.generate` span, through `trrgen.generation`."""
+    `decoder_forward` hook stays because the name still exists (packed
+    training does not run it), and so does the `generation.generate` span,
+    through `trrgen.generation`."""
     module = types.ModuleType("tracer")
     exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), module.__dict__)
     tracer = module.Tracer()

@@ -20,7 +20,7 @@ def setup_tiny(n=16, seed=0):
     ("batch_size", 0), ("batch_size", -1), ("validate_every", 0), ("patience", -1),
     ("lr", 0.0), ("lr", -1e-3), ("lr", float("inf")), ("lr", float("nan")),
     ("adam_eps", 0.0), ("adam_eps", float("nan")), ("beta1", 1.0), ("beta1", -0.1),
-    ("beta2", 1.0), ("beta2", float("nan")), ("lr", 10 ** 400)])
+    ("beta2", 1.0), ("beta2", float("nan")), ("lr", 10 ** 400), ("seed", -1)])
 def test_bad_option_rejected_naming_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be"):
         TrainOptions(**{field: value})

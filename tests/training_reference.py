@@ -47,7 +47,7 @@ class PackedReplay:
     those masks in turn; a mask is drawn when its first rows are asked for."""
 
     def __init__(self, rng, batch, config):
-        slots = len(M._FEATURE_SLOTS.get(config.fusion_variant, ()))
+        slots = len(M.FUSION[config.fusion_variant][1])
         self._layout = [([len(r.src_ids) + slots for r in batch], 1 + 2 * config.n_layers),
                         ([len(r.tgt_ids) - 1 for r in batch], 1 + 3 * config.n_layers)]
         self._rng, self._masks, self._calls = rng, {}, self._plan(len(batch))
