@@ -84,7 +84,7 @@ def load_checkpoint(path):
             vocab = Vocabulary(header["vocabulary"])
             manifest = [(name, tuple(shape)) for name, shape in header["tensors"]]
             run_config, metadata = header["run_config"], header["metadata"]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:  # JSON too deep
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
         if len(vocab) != config.vocab_size:
             raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, "

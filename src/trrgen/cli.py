@@ -107,8 +107,7 @@ def load_settings(path: str | None, flags: dict) -> dict:
     (key -> command-line text), then TRRGEN_SEED; each value type-checked."""
     values = {key: f.default for key, f in SETTINGS.items()}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = C.parse_json(C.read_text(path), path)
         values.update(_typed(path, "config", data, SETTINGS))
         if unknown := set(data) - set(SETTINGS):
             raise CliError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -257,27 +256,16 @@ def cmd_generate(args) -> int:
     if not args.batch and None in flag_review:
         raise CliError("generate requires --review, --rating and --category (or --batch)")
     decode, params, config, vocab, pre_cfg = _load_model(args)
-    inputs = []  # (batch object or None, encoded review), all checked before decoding
     if args.batch:
-        with open(args.batch, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{args.batch}:{lineno}"
-                try:
-                    obj = json.loads(line)
-                    rec = C.ReviewRecord("", obj["category"], obj["rating"], obj["review"])
-                except json.JSONDecodeError as exc:
-                    raise CliError(f"{where}: malformed JSON ({exc})") from None
-                except KeyError as exc:
-                    raise CliError(f"{where}: missing field {exc}") from None
-                except TypeError as exc:
-                    raise CliError(f"{where}: expected an object with a review, an integer "
-                                   f"rating and a category ({exc})") from None
-                inputs.append((obj, _encode(rec, vocab, pre_cfg, where)))
+        objs = ((where, C.parse_json(line, where)) for where, line in C.read_lines(args.batch))
     else:
-        rec = C.ReviewRecord("", args.category, args.rating, args.review)
-        inputs.append((None, _encode(rec, vocab, pre_cfg, "input")))
+        objs = [("input", dict(review=args.review, rating=args.rating, category=args.category))]
+    inputs = []  # (object, encoded review), every one checked before decoding
+    for where, obj in objs:
+        if type(obj) is not dict or not obj.keys() >= {"review", "rating", "category"}:
+            raise CliError(f"{where}: expected an object with review, rating and category")
+        rec = C.ReviewRecord("", obj["category"], obj["rating"], obj["review"])
+        inputs.append((obj, _encode(rec, vocab, pre_cfg, where)))
     responses = generate_all([encoded for _, encoded in inputs], params, config, decode)
     for (obj, _), ids in zip(inputs, responses):
         response = postprocess(ids, vocab)

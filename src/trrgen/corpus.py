@@ -110,38 +110,56 @@ class NgramReport:
 # loading
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of file `path`, with universal newlines; a byte that is
+    not UTF-8 is a CorpusError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_lines(path):
+    """(`path:line`, line) for each non-blank line of file `path`, from line 1."""
+    return ((f"{path}:{n}", line) for n, line in enumerate(read_text(path).split("\n"), start=1)
+            if line.strip())
+
+
+def parse_json(text: str, where: str):
+    """The JSON value `text`; malformed JSON is a CorpusError naming `where`."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax or digits; nesting too deep
+        raise CorpusError(f"{where}: malformed JSON ({exc})") from None
+
+
 def load_corpus(path, fmt: str = "jsonl") -> list[ReviewRecord]:
     """Read one record per line, preserving order; raises on the first bad line."""
+    if fmt not in ("jsonl", "tsv"):
+        raise CorpusError(f"unknown corpus format {fmt!r}")
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            if fmt == "jsonl":
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{where}: malformed JSON ({exc})") from None
-                try:
-                    rec = ReviewRecord(obj["app_name"], obj["category"], obj["rating"],
-                                       obj["review"], obj.get("response", ""))
-                except (KeyError, TypeError) as exc:
-                    raise CorpusError(f"{where}: bad record ({exc})") from None
-            elif fmt == "tsv":
-                cols = line.split("\t")
-                if len(cols) != 5:
-                    raise CorpusError(f"{where}: expected 5 tab-separated columns, got {len(cols)}")
-                try:
-                    rating = int(cols[2])
-                except ValueError:
-                    raise CorpusError(f"{where}: non-integer rating {cols[2]!r}") from None
-                rec = ReviewRecord(cols[0], cols[1], rating, cols[3], cols[4])
-            else:
-                raise CorpusError(f"unknown corpus format {fmt!r}")
-            rec.validate(where)
-            records.append(rec)
+    for where, line in read_lines(path):
+        if fmt == "jsonl":
+            obj = parse_json(line, where)
+            try:
+                rec = ReviewRecord(obj["app_name"], obj["category"], obj["rating"],
+                                   obj["review"], obj.get("response", ""))
+            except (KeyError, TypeError) as exc:
+                raise CorpusError(f"{where}: bad record ({exc})") from None
+        else:
+            cols = line.split("\t")
+            if len(cols) != 5:
+                raise CorpusError(f"{where}: expected 5 tab-separated columns, got {len(cols)}")
+            try:
+                rating = int(cols[2])
+            except ValueError:
+                raise CorpusError(f"{where}: non-integer rating {cols[2]!r}") from None
+            rec = ReviewRecord(cols[0], cols[1], rating, cols[3], cols[4])
+        rec.validate(where)
+        records.append(rec)
     return records
 
 
@@ -254,8 +272,7 @@ def filter_ads(records: list[ReviewRecord], blocklist: set[tuple[str, ...]],
 
 
 def load_blocklist(path) -> set[tuple[str, ...]]:
-    with open(path, encoding="utf-8") as fh:
-        return {tuple(line.split()) for line in fh if line.strip()}
+    return {tuple(line.split()) for _, line in read_lines(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +296,6 @@ class Vocabulary:
     def __len__(self):
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
-
-    def encode(self, tokens: list[str]) -> list[int]:
-        return [self.encode_token(t) for t in tokens]
-
     def decode(self, ids: list[int]) -> list[str]:
         return [self.id_to_token[i] for i in ids]
 
@@ -300,8 +311,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        tokens = parse_json(read_text(path), path)
+        try:
+            return cls(tokens)
+        except CorpusError as exc:
+            raise CorpusError(f"{path}: {exc}") from None
 
 
 def build_vocabulary(records: list[ReviewRecord], min_freq: int = 2) -> Vocabulary:
@@ -341,7 +355,7 @@ class EncodedRecord:
 
 def _text_ids(text: str, vocab: Vocabulary, limit: int) -> list[int]:
     """Ids of the first `limit` tokens of `text`, control tokens read as ⟨unk⟩."""
-    get = vocab.token_to_id.get  # Vocabulary.encode_token, without a call per token
+    get = vocab.token_to_id.get  # bound once, not looked up per token
     return [UNK_ID if t[0] == "⟨" and is_control(t) else get(t, UNK_ID)
             for t in tokenize(text)[:limit]]
 

@@ -2,8 +2,8 @@
 
 A `Tape` records every primitive applied to tensors during a forward pass.
 Calling `Tape.backward` runs the recorded entries in reverse order,
-accumulating gradients into each tensor's `.grad` array. Passing `tape=None` to
-any primitive runs it in inference mode (no recording, no gradients).
+accumulating gradients into each tensor's `.grad` array. With `tape=None` a
+primitive records nothing, as in inference and `grad_check`'s differences.
 
 Every primitive records its backward rule through one helper, `_record`, and
 takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
@@ -418,28 +418,26 @@ def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
 def grad_check(build, params: list[Tensor], eps: float = 1e-5) -> float:
     """Compare analytic gradients of `build` against central differences.
 
-    `build` takes no arguments, constructs a fresh tape over the current
-    parameter values and returns (loss, tape). Returns the max over all
+    `build(tape)` returns the scalar loss at the current parameter values. It
+    gets a fresh `Tape` once, for the analytic gradients, and `None` for each
+    central difference, which records nothing. Returns the max over all
     parameter coordinates of |analytic - numeric| / max(|a|, |n|, 1e-8).
     """
     for p in params:
         p.zero_grad()
-    loss, tape = build()
-    tape.backward(loss)
+    tape = Tape()
+    tape.backward(build(tape))
     analytic = [np.zeros_like(p.values) if p.grad is None else p.grad.copy() for p in params]
 
     worst = 0.0
     for p, a in zip(params, analytic):
         flat = p.values.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.shape[0]):
+        for i, a_i in enumerate(a.reshape(-1)):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = build()
+            up = float(build(None).values)
             flat[i] = orig - eps
-            down, _ = build()
+            numeric = (up - float(build(None).values)) / (2.0 * eps)
             flat[i] = orig
-            numeric = (float(up.values) - float(down.values)) / (2.0 * eps)
-            err = abs(a_flat[i] - numeric) / max(abs(a_flat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
+            worst = max(worst, abs(a_i - numeric) / max(abs(a_i), abs(numeric), 1e-8))
     return worst

@@ -163,6 +163,15 @@ def test_inconsistent_header_rejected(tiny_checkpoint, edit, match):
         load_checkpoint(tiny_checkpoint)
 
 
+def test_header_nested_too_deep_rejected(tiny_checkpoint):
+    """json raises RecursionError, not a ValueError, past its nesting limit."""
+    raw = tiny_checkpoint.read_bytes()
+    blob = b"[" * 100_000
+    tiny_checkpoint.write_bytes(raw[:len(MAGIC) + 4] + struct.pack("<Q", len(blob)) + blob)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(tiny_checkpoint)
+
+
 def test_malformed_json_and_block_length_rejected(tiny_checkpoint):
     raw = bytearray(tiny_checkpoint.read_bytes())
     hstart = len(MAGIC) + 12

@@ -349,7 +349,8 @@ class TestTrainGenerateEvaluate:
         assert run(["train", "--train", corpus_file, "--vocab", path, "--output", ckpt,
                     "--epochs", 1]) == 1
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == ["error: vocabulary must be a JSON list of strings"]
+        assert captured.err.splitlines() == [
+            f"error: {path}: vocabulary must be a JSON list of strings"]
         assert captured.out == ""
         assert not ckpt.exists()
 
@@ -992,6 +993,66 @@ class TestFlagsPerCommand:
         assert run(command_line(command, session_files, tmp_path / "out")
                    + ["--config", str(cfg)]) == 0
         assert "error:" not in capsys.readouterr().err
+
+
+GOOD_CORPUS_LINE = jsonl_line(ReviewRecord("a", "GAME", 3, "love it", "thanks")).encode()
+GOOD_BATCH_LINE_TEXT = b'{"review": "love it", "rating": 3, "category": "GAME"}'
+NOT_UTF8 = b'{"review": "caf\xff"}'
+# Per reader: the command line, with {bad} the file under test and {out} an
+# output path, and per case the bad file's bytes and the words its one error
+# line holds.
+READERS = {
+    "config": (["build-vocab", "--input", "{corpus}", "--output", "{out}", "--config", "{bad}"],
+               {"malformed": (b"{bad", ["{bad}: malformed JSON"]),
+                "not-utf8": (b'{"min_freq": 1,\n "seed": "\xff"}', ["{bad}:2: not UTF-8 text"])}),
+    "vocab": (["train", "--train", "{corpus}", "--vocab", "{bad}", "--output", "{out}",
+               "--epochs", "1"],
+              {"malformed": (b"[bad", ["{bad}: malformed JSON"]),
+               "not-utf8": (b'["\xff"]', ["{bad}:1: not UTF-8 text"]),
+               "duplicate": (json.dumps([corpus.PAD, corpus.UNK, corpus.SOS, corpus.EOS, "a", "a"])
+                             .encode(), ["{bad}: duplicate token in vocabulary"]),
+               "misplaced": (json.dumps([corpus.UNK, corpus.PAD, corpus.SOS, corpus.EOS]).encode(),
+                             ["{bad}: special token", "missing or misplaced"])}),
+    "input": (["preprocess", "--input", "{bad}", "--output", "{out}"],
+              {"not-utf8": (GOOD_CORPUS_LINE + b"\n" + NOT_UTF8 + b"\n",
+                            ["{bad}:2: not UTF-8 text"]),
+               "malformed": (GOOD_CORPUS_LINE + b"\n\n{bad\n", ["{bad}:3: malformed JSON"]),
+               # json raises RecursionError past its nesting limit, and a
+               # plain ValueError for an integer past Python's digit limit
+               "too-deep": (b"[" * 100_000, ["{bad}:1: malformed JSON"]),
+               "too-many-digits": (b'{"rating": ' + b"1" * 5_000 + b"}",
+                                   ["{bad}:1: malformed JSON"])}),
+    "test": (["evaluate", "--checkpoint", "{checkpoint}", "--test", "{bad}"],
+             {"not-utf8-crlf": (GOOD_CORPUS_LINE + b"\r\n" + NOT_UTF8,
+                                ["{bad}:2: not UTF-8 text"])}),
+    "batch": (["generate", "--checkpoint", "{checkpoint}", "--batch", "{bad}"],
+              {"not-utf8": (GOOD_BATCH_LINE_TEXT + b"\n" + NOT_UTF8 + b"\n",
+                            ["{bad}:2: not UTF-8 text"]),
+               "not-an-object": (GOOD_BATCH_LINE_TEXT + b"\n[1]\n",
+                                 ["{bad}:2: expected an object"]),
+               "missing-key": (GOOD_BATCH_LINE_TEXT + b'\n{"review": "x", "rating": 3}\n',
+                               ["{bad}:2: expected an object with review, rating and category"])}),
+    "blocklist": (["preprocess", "--input", "{corpus}", "--output", "{out}",
+                   "--blocklist", "{bad}"],
+                  {"not-utf8": (b"a b c d e\n caf\xff x y z w\n", ["{bad}:2: not UTF-8 text"])}),
+}
+
+
+@pytest.mark.parametrize("reader,case", [(reader, case) for reader, (_, cases) in READERS.items()
+                                         for case in cases])
+def test_bad_file_is_one_error_line_naming_it(session_files, tmp_path, capsys, reader, case):
+    """A file that is not UTF-8 text, is not the JSON it should hold or holds
+    a bad vocabulary ends the run in one `error:` line that names the file
+    (and the line, for a file read line by line), and writes nothing."""
+    argv, cases = READERS[reader]
+    content, words = cases[case]
+    bad, out = tmp_path / f"{reader}.bad", tmp_path / "out"
+    bad.write_bytes(content)
+    names = {"bad": bad, "out": out, "corpus": session_files.corpus,
+             "checkpoint": session_files.checkpoint}
+    code = run([arg.format(**names) for arg in argv])
+    assert_one_error_line(code, capsys, *(word.format(bad=bad) for word in words))
+    assert not out.exists()
 
 
 class TestTrainingSettingsFirst:

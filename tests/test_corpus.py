@@ -230,8 +230,8 @@ class TestVocabulary:
     def test_min_freq_cutoff(self):
         records = [C.ReviewRecord("a", "T", 3, "common common rare", "common")]
         vocab = C.build_vocabulary(records, min_freq=2)
-        assert vocab.encode_token("common") != C.UNK_ID
-        assert vocab.encode_token("rare") == C.UNK_ID
+        assert vocab.token_to_id.get("common", C.UNK_ID) != C.UNK_ID
+        assert vocab.token_to_id.get("rare", C.UNK_ID) == C.UNK_ID
 
     def test_bijection_round_trip(self):
         vocab = C.build_vocabulary(
@@ -239,7 +239,7 @@ class TestVocabulary:
         for tok, i in vocab.token_to_id.items():
             assert vocab.id_to_token[i] == tok
         ids = list(range(len(vocab)))
-        assert vocab.encode(vocab.decode(ids)) == ids
+        assert [vocab.token_to_id[t] for t in vocab.decode(ids)] == ids
 
     def test_specials_at_fixed_ids(self):
         vocab = C.build_vocabulary([C.ReviewRecord("a", "T", 3, "x", "y")], min_freq=1)
@@ -395,6 +395,22 @@ class TestLoadCorpus:
         path.write_text(f"app\tT\t3\t{review}\ty\n", encoding="utf-8")
         with pytest.raises(C.CorpusError, match="bad.tsv:1: review text has no tokens"):
             C.load_corpus(path, "tsv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["", " ", "a b", "\t", "\r", "\r\n", "\n", "\u2028", "\x0b",
+                                 "\x85", "⟨x⟩"]), max_size=12).map("".join))
+def test_read_lines_are_the_text_mode_lines(text):
+    """`read_lines` yields the non-blank lines, and their numbers, that
+    iterating the file in text mode gives: only \\n, \\r\\n and \\r end a line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "lines.txt")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with open(path, encoding="utf-8") as fh:
+            want = [(f"{path}:{n}", line.rstrip("\n"))
+                    for n, line in enumerate(fh, start=1) if line.strip()]
+        assert list(C.read_lines(path)) == want
 
 
 class TestSplitCorpus:

@@ -184,6 +184,23 @@ class TestMatchesReference:
         from the wrong layer or missing an encoder slot would get wrong."""
         self.check(seed, seeded_and_eos_boosted(seed, n_layers=2, variant=variant))
 
+    @pytest.mark.parametrize("width", [7, 8, 14, 64])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_token_identical_for_wide_beams(self, seed, width):
+        """2·width ≥ V = 14, so `_top_candidates` keeps every one of the W·V
+        candidates; `generate_all` decodes groups of 64 // width reviews."""
+        for label, params, config in [*seeded_and_eos_boosted(seed), next(tied(seed))]:
+            records = [EncodedRecord(list(src), [2, 3], 4 + i, 9)
+                       for i, src in enumerate([(9 + seed % 3, 10), (11,), (12, 13, 9)])]
+            encs = [M.encode_review(rec, params, config) for rec in records]
+            cap = config.max_tgt_len - 1
+            for max_len in (cap, 1 + seed % (cap - 1)):
+                decode = DecodeConfig(strategy="beam", beam_width=width, max_len=max_len,
+                                      length_penalty=(seed % 3) / 2)
+                want = [ref.beam_decode(params, config, enc, decode) for enc in encs]
+                assert [beam_decode(params, config, enc, decode) for enc in encs] == want, label
+                assert generate_all(records, params, config, decode) == want, label
+
     @pytest.mark.parametrize("seed", range(10))
     def test_teacher_forced_score(self, seed):
         """One decoder pass over ⟨sos⟩ + tokens scores them as the per-prefix
@@ -397,16 +414,16 @@ class TestPostprocess:
 
     def test_simple_join(self):
         vocab = self.vocab()
-        ids = vocab.encode(["thanks", "for", "your", "review"])
+        ids = [vocab.token_to_id[t] for t in ["thanks", "for", "your", "review"]]
         assert postprocess(ids, vocab) == "thanks for your review"
 
     def test_placeholder_passthrough(self):
         vocab = self.vocab()
-        ids = vocab.encode(["contact", "⟨email⟩"])
+        ids = [vocab.token_to_id[t] for t in ["contact", "⟨email⟩"]]
         assert postprocess(ids, vocab) == "contact ⟨email⟩"
 
     def test_round_trip_of_in_vocab_response(self):
         vocab = self.vocab()
         text = "thanks  for your   review"
-        ids = vocab.encode(tokenize(text))
+        ids = [vocab.token_to_id[t] for t in tokenize(text)]
         assert postprocess(ids, vocab) == " ".join(text.split())
