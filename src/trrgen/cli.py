@@ -56,12 +56,12 @@ def _flag(key: str) -> str:
 
 # Every setting, keyed as in config files and flags, with the dataclass field
 # that gives its type and default. vocab_size comes from the vocabulary, and
-# placeholder_rules and stop_loss are set only through the library.
+# stop_loss is set only through the library.
 SETTINGS = {_key(cls, f.name): f
             for cls in (ModelConfig, C.PreprocessConfig, C.AdConfig, TrainOptions,
                         DecodeConfig, PipelineConfig)
             for f in dataclasses.fields(cls)
-            if f.name not in ("vocab_size", "placeholder_rules", "stop_loss")}
+            if f.name not in ("vocab_size", "stop_loss")}
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -227,6 +227,10 @@ def _load_model(args):
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     pre_cfg, opts, model_cfg = _training_settings(cfg)
+    folder = os.path.dirname(args.output) or "."  # checked now, not after the last epoch
+    if os.path.isdir(args.output) or not (os.path.isdir(folder)
+                                          and os.access(folder, os.W_OK | os.X_OK)):
+        raise CliError(f"--output {args.output}: not a file path in a writable directory")
     vocab = C.Vocabulary.load(args.vocab)
     train_recs = _encode_all(C.load_corpus(args.train), vocab, pre_cfg, args.train)
     valid_recs = (_encode_all(C.load_corpus(args.valid), vocab, pre_cfg, args.valid)

@@ -12,7 +12,7 @@ import json
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 PAD, UNK, SOS, EOS = "⟨pad⟩", "⟨unk⟩", "⟨sos⟩", "⟨eos⟩"
 PAD_ID, UNK_ID, SOS_ID, EOS_ID = 0, 1, 2, 3
@@ -23,14 +23,13 @@ PLACEHOLDER_TOKENS = ["⟨email⟩", "⟨url⟩", "⟨app_name⟩", "⟨user_nam
 # they are read as ⟨unk⟩, like any ⟨cat:…⟩ token (see `is_control`).
 CONTROL_TOKENS = {PAD, SOS, EOS, *RATING_TOKENS.values()}
 
-# Default PII patterns. App names cannot be detected generically, so the
-# ⟨app_name⟩ token is reserved but has no default pattern; supply one via
-# PreprocessConfig.placeholder_rules when the app's name is known.
-DEFAULT_PLACEHOLDER_RULES = [
+# The PII patterns `normalize_text` rewrites, in order. App names cannot be
+# detected generically, so ⟨app_name⟩ is reserved and no rule produces it.
+PLACEHOLDER_RULES = (
     (r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", "⟨email⟩"),
     (r"(?:https?://|www\.)[^\s]+", "⟨url⟩"),
     (r"@[A-Za-z0-9_]+", "⟨user_name⟩"),
-]
+)
 
 _TOKEN_RE = re.compile(r"⟨[^⟨⟩\s]+⟩|[A-Za-z0-9_']+|[^\sA-Za-z0-9_'⟨⟩]")
 
@@ -64,8 +63,6 @@ class ReviewRecord:
 
 @dataclass
 class PreprocessConfig:
-    placeholder_rules: list[tuple[str, str]] = field(
-        default_factory=lambda: list(DEFAULT_PLACEHOLDER_RULES))
     lowercase: bool = True
     max_review_tokens: int = 100
     max_response_tokens: int = 120
@@ -183,7 +180,7 @@ def normalize_text(text: str, config: PreprocessConfig) -> str:
     """
     if config.lowercase:
         text = text.lower()
-    for pattern, token in config.placeholder_rules:
+    for pattern, token in PLACEHOLDER_RULES:
         text = re.sub(pattern, token, text)
     return text
 

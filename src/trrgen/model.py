@@ -7,9 +7,9 @@ Sublayers use post-norm ordering: LayerNorm(x + f(x)).
 
 The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
 target through it from an empty key/value cache, and `decoder_step` one new
-position for the live hypotheses of one review or of a group of reviews
-(`init_group_cache`). `tests/decode_reference.py` keeps a reference decoder
-as the oracle.
+position for the live hypotheses of a group of reviews (`init_group_cache`).
+Only `init_decoder_cache` projects a cache's cross-attention keys and
+values. `tests/decode_reference.py` keeps a reference decoder as the oracle.
 
 Training runs a batch as packed rows (`forward_training`): the fused inputs
 of all its reviews end to end, and all its targets end to end, with no
@@ -23,7 +23,7 @@ per-example pass as the oracle, fed each example's rows of those masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -404,11 +404,11 @@ class DecoderCache:
     reviews: np.ndarray | None = None
 
     def select(self, rows):
-        """Keep the hypotheses at `rows`, in that order; a row may repeat.
-        A review none of whose rows is kept drops out of the next step."""
+        """Keep a group cache's hypotheses at `rows`, in that order; a row may
+        repeat. A review none of whose rows is kept drops out of the next step."""
         self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
         # rows that keep their reviews keep their cross keys and values
-        if self.reviews is not None and not np.array_equal(self.reviews[rows], self.reviews):
+        if not np.array_equal(self.reviews[rows], self.reviews):
             self.cross = [(Tensor(k_t.values[rows]), Tensor(v.values[rows]))
                           for k_t, v in self.cross]
             self.src_mask, self.reviews = self.src_mask[rows], self.reviews[rows]
@@ -417,8 +417,8 @@ class DecoderCache:
 def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
                        tape: Tape | None = None) -> DecoderCache:
     """An empty cache for decoding from the [..., Tk, d] encoder states of one
-    review, or the packed ones of several: each layer's cross-attention keys
-    and values, recorded on `tape`."""
+    review or of a padded group, or the packed ones of several: each layer's
+    cross-attention keys and values, recorded on `tape`."""
     cross = [(_heads(enc.states, a.wk, config.d_k, tape, keys=True),
               _heads(enc.states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
@@ -428,22 +428,16 @@ def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConf
 def init_group_cache(encs: list[EncoderOutput], params: Parameters,
                      config: ModelConfig) -> DecoderCache:
     """An empty cache for decoding the reviews of `encs`, each with [Tk_r, d]
-    states, together: row r of the first step is review r's. Each layer
-    projects the real rows of all reviews at once, then pads the keys and
-    values with zeros to the longest review; the key mask hides the padding
-    from cross-attention."""
+    states, together: row r of the first step is review r's. The states are
+    padded with zero rows to the longest review and go to
+    `init_decoder_cache` as one [R, Tk, d] stack, whose key mask hides the
+    padding from cross-attention."""
     rows = np.array([enc.states.values.shape[0] for enc in encs])
     real = np.arange(rows.max()) < rows[:, None]  # [R, Tk] slots that hold a row
-    states = Tensor(np.concatenate([enc.states.values for enc in encs]))
-
-    def heads(w, keys=False):
-        padded = np.zeros((*real.shape, config.d_model))
-        padded[real] = matmul(states, w, None).values
-        return split_heads(Tensor(padded), config.d_k, None, keys)
-    cross = [(heads(layer.cross_attn.wk, keys=True), heads(layer.cross_attn.wv))
-             for layer in params.decoder]
-    return DecoderCache(cross, np.where(real, 0.0, NEG_INF)[:, None, None],
-                        [None] * len(params.decoder), reviews=np.arange(len(encs)))
+    padded = np.zeros((*real.shape, config.d_model))
+    padded[real] = np.concatenate([enc.states.values for enc in encs])
+    enc = EncoderOutput(Tensor(padded), np.where(real, 0.0, NEG_INF)[:, None, None])
+    return replace(init_decoder_cache(enc, params, config), reviews=np.arange(len(encs)))
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,

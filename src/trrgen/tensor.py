@@ -43,7 +43,6 @@ __all__ = [
     "dropout",
     "cross_entropy_logits",
     "linear_cross_entropy",
-    "sum_all",
     "grad_check",
 ]
 
@@ -318,11 +317,6 @@ def dropout(x: Tensor, p: float, training: bool,
     def scaled(v, out=None):  # bitwise v * ((r >= p) / (1 - p)) into `out`, with a bool mask
         return np.multiply(v := np.multiply(v, s, out=out), keep, out=v)
     return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum_owned(sx, scaled(g, g)), x)
-
-
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    return _record(tape, Tensor(x.values.sum()),
-                   lambda g, sx: _accum(sx, np.full(sx.shape, g, sx.dtype)), x)
 
 
 def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,

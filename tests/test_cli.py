@@ -1112,6 +1112,20 @@ class TestTrainingSettingsFirst:
         assert run(train + ["--max-response-tokens", 11]) == 0
         assert capsys.readouterr().err == "" and ckpt.exists()
 
+    @pytest.mark.parametrize("output", ["missing/model.ckpt", "a_file/model.ckpt", "a_dir"])
+    def test_output_that_cannot_take_the_checkpoint(self, session_files, tmp_path, capsys,
+                                                    output):
+        """An `--output` in a missing folder or in a file, or one that is a
+        folder, ends the run before the corpus is read and any epoch runs,
+        in one line naming it."""
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        out = tmp_path / output
+        code = run(command_line("train", session_files, out))
+        assert_one_error_line(code, capsys, f"error: --output {out}: not a file path in a "
+                                            "writable directory")
+        assert not (tmp_path / "missing").exists() and list((tmp_path / "a_dir").iterdir()) == []
+
 
 @settings(max_examples=200, deadline=None)
 @given(command_flags(["generate", "evaluate"]))

@@ -49,7 +49,7 @@ class TestNormalize:
         import re
         s = "mail a@b.co or b@c.org, visit https://x.y see @me"
         out = C.normalize_text(s, cfg)
-        for pattern, _ in cfg.placeholder_rules:
+        for pattern, _ in C.PLACEHOLDER_RULES:
             assert re.search(pattern, out) is None
 
 

@@ -7,10 +7,11 @@ import pytest
 
 from trrgen import model as M
 from trrgen.corpus import EncodedRecord, SOS_ID
-from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax, sum_all
+from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax
 
 from attention_reference import per_head_attention, per_head_weights
 import decode_reference as ref
+from scalar_loss import sum_all
 import training_reference
 
 
@@ -731,7 +732,7 @@ class TestDecoderStep:
         enc = M.encode_review(EncodedRecord([10, 11, 12], [2, 3], 4, 9), params, config)
         rng = np.random.default_rng(n_layers)
         for width in range(1, 6):
-            cache = M.init_decoder_cache(enc, params, config)
+            cache = M.init_group_cache([enc], params, config)
             prefixes = np.full((1, 1), SOS_ID)
             for pos in range(config.max_tgt_len):
                 got = M.decoder_step(prefixes[:, -1], cache, params, config)

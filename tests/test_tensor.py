@@ -6,10 +6,10 @@ import pytest
 from trrgen.tensor import (_CE_COLS, _CE_ROWS, Tensor, Tape, matmul, add, scale, relu, softmax,
                            layer_norm, concat_rows, split_rows, split_heads, merge_heads,
                            embedding_lookup,
-                           dropout, cross_entropy_logits, linear_cross_entropy, sum_all,
-                           grad_check)
+                           dropout, cross_entropy_logits, linear_cross_entropy, grad_check)
 from trrgen.optim import AdamState, adam_step, zero_grads
 
+from scalar_loss import sum_all
 import training_reference
 
 
