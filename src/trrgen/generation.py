@@ -68,27 +68,25 @@ class DecodeConfig:
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row (last axis)."""
-    z = x - x.max(axis=-1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z
+    """Log-softmax of each row (last axis), written over `x`."""
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)
+    x -= np.log(np.add.reduce(np.exp(x), axis=-1, keepdims=True))
+    return x
 
 
 def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     """(hypothesis, token) pairs of the k best entries of a [W, V] score array,
     ordered by score descending, then token id, then hypothesis index.
 
-    Linear in W·V: a partition finds the k-th score, and only the entries
-    above it plus the first ties in tie-break order are sorted.
+    Linear in W·V: one of the k best has fewer than k entries above it in its
+    row, so it is at or above its row's k-th score, which a partition of
+    each row finds. Only those entries, ties included, are sorted.
     """
-    w = scores.shape[0]
-    flat = scores.T.ravel()  # index tok * w + h, so ascending index is the tie-break
-    k = min(k, flat.size)
-    kth = np.partition(flat, flat.size - k)[flat.size - k]
-    above = np.flatnonzero(flat > kth)
-    idx = np.concatenate([above, np.flatnonzero(flat == kth)[:k - above.size]])
-    idx = idx[np.lexsort((idx, -flat[idx]))]
-    return [(int(i % w), int(i // w)) for i in idx]
+    v = scores.shape[1]
+    kth = np.partition(scores, v - min(k, v), axis=1)[:, v - min(k, v), None]
+    h, tok = np.divmod(np.flatnonzero(scores >= kth), v)
+    best = np.lexsort((h, tok, -scores[h, tok]))[:k]
+    return list(zip(h[best].tolist(), tok[best].tolist()))
 
 
 def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutput],
@@ -109,6 +107,8 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutp
     `length_cap` tokens long exactly when decoding stopped at the cap.
     """
     max_len, width = decode.length_cap(config), decode.width
+    if not encs:
+        return []
     live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
     finished: list[list[tuple[list[int], float]]] = [[] for _ in encs]
     active = list(range(len(encs)))  # unfinished reviews, in row order

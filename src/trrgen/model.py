@@ -212,20 +212,31 @@ def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
 # building blocks
 
 
+# d_model -> read-only sinusoidal rows for positions 0 … n − 1, grown on demand
+_PE_TABLES: dict[int, np.ndarray] = {}
+
+
 def positional_encoding(seq_len: int, d_model: int, start: int = 0) -> np.ndarray:
-    """Sinusoidal rows for positions start … start + seq_len − 1:
-    PE[pos, 2i] = sin(pos / 10000^(2i/d)), PE[pos, 2i+1] = cos(pos / 10000^(2i/d))."""
-    if seq_len < 1:
-        raise ConfigError("seq_len must be >= 1")
+    """Read-only sinusoidal rows for positions start … start + seq_len − 1:
+    PE[pos, 2i] = sin(pos / 10000^(2i/d)), PE[pos, 2i+1] = cos(pos / 10000^(2i/d)).
+
+    They are a view of one table per `d_model`, which is recomputed at twice
+    the size (at least 128 rows) when a position lies beyond it. Each entry is
+    computed on its own, so a row does not depend on the table's size."""
+    if seq_len < 1 or start < 0:
+        raise ConfigError("seq_len must be >= 1 and start >= 0")
     if d_model % 2 != 0:
         raise ConfigError("d_model must be even")
-    pos = np.arange(start, start + seq_len, dtype=np.float64)[:, None]
-    two_i = np.arange(0, d_model, 2, dtype=np.float64)
-    angle = pos / np.power(10000.0, two_i / d_model)
-    pe = np.empty((seq_len, d_model))
-    pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle)
-    return pe
+    end, cached = start + seq_len, len(_PE_TABLES.get(d_model, ()))
+    if cached < end:
+        pos = np.arange(max(end, 2 * cached, 128), dtype=np.float64)[:, None]
+        angle = pos / np.power(10000.0, np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+        table = np.empty((len(pos), d_model))
+        table[:, 0::2] = np.sin(angle)
+        table[:, 1::2] = np.cos(angle)
+        table.flags.writeable = False
+        _PE_TABLES[d_model] = table
+    return _PE_TABLES[d_model][start:end]
 
 
 def causal_mask(n: int, start: int = 0) -> np.ndarray:
@@ -393,9 +404,10 @@ class DecoderCache:
     each review's count of encoder rows.
 
     A group cache (`init_group_cache`) decodes several reviews at once:
-    `reviews` names the review of each row, and `cross` and the
-    [N, 1, 1, Tk] `src_mask` hold one copy of that review's keys, values and
-    key mask per row, padded to the group's longest review."""
+    `reviews` names the review of each row, and `cross` holds one copy of
+    that review's keys and values per row, padded to the group's longest
+    review. `src_mask` is then None when no review is padded, and otherwise
+    the [N, 1, 1, Tk] key mask of each row's review."""
     cross: list[tuple[Tensor, Tensor]]
     src_mask: np.ndarray | None
     self_kv: list[tuple[np.ndarray, np.ndarray] | None]
@@ -405,13 +417,18 @@ class DecoderCache:
 
     def select(self, rows):
         """Keep a group cache's hypotheses at `rows`, in that order; a row may
-        repeat. A review none of whose rows is kept drops out of the next step."""
+        repeat. A review none of whose rows is kept drops out of the next step.
+        Keeping every row in order, as each greedy step does, copies nothing."""
+        if np.asarray(rows).tolist() == list(range(len(self.reviews))):
+            return
         self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
         # rows that keep their reviews keep their cross keys and values
         if not np.array_equal(self.reviews[rows], self.reviews):
             self.cross = [(Tensor(k_t.values[rows]), Tensor(v.values[rows]))
                           for k_t, v in self.cross]
-            self.src_mask, self.reviews = self.src_mask[rows], self.reviews[rows]
+            self.reviews = self.reviews[rows]
+            if self.src_mask is not None:
+                self.src_mask = self.src_mask[rows]
 
 
 def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
@@ -430,13 +447,15 @@ def init_group_cache(encs: list[EncoderOutput], params: Parameters,
     """An empty cache for decoding the reviews of `encs`, each with [Tk_r, d]
     states, together: row r of the first step is review r's. The states are
     padded with zero rows to the longest review and go to
-    `init_decoder_cache` as one [R, Tk, d] stack, whose key mask hides the
-    padding from cross-attention."""
+    `init_decoder_cache` as one [R, Tk, d] stack. When some review is
+    padded, a key mask hides the padding from cross-attention; otherwise
+    there is no mask."""
     rows = np.array([enc.states.values.shape[0] for enc in encs])
     real = np.arange(rows.max()) < rows[:, None]  # [R, Tk] slots that hold a row
     padded = np.zeros((*real.shape, config.d_model))
     padded[real] = np.concatenate([enc.states.values for enc in encs])
-    enc = EncoderOutput(Tensor(padded), np.where(real, 0.0, NEG_INF)[:, None, None])
+    mask = None if real.all() else np.where(real, 0.0, NEG_INF)[:, None, None]
+    enc = EncoderOutput(Tensor(padded), mask)
     return replace(init_decoder_cache(enc, params, config), reviews=np.arange(len(encs)))
 
 

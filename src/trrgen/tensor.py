@@ -184,7 +184,9 @@ def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
     array `b` is a constant, such as a mask, and receives no gradient."""
     av = a.values
     bv = b.values if isinstance(b, Tensor) else b
-    if bv.ndim > av.ndim or any(m not in (1, n) for n, m in zip(av.shape[::-1], bv.shape[::-1])):
+    lead = av.ndim - bv.ndim  # a `b` shaped like the trailing axes of `a` broadcasts
+    if lead < 0 or (bv.shape != av.shape[lead:]
+                    and np.broadcast_shapes(av.shape, bv.shape) != av.shape):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
 
     def bwd(g, sa, sb=None):  # `a` takes `g` itself, so `b` gets a copy
@@ -209,10 +211,9 @@ def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
     Entries equal to -inf receive weight exactly 0, so masked positions
     contribute nothing downstream (bitwise).
     """
-    x = a.values
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = np.subtract(a.values, np.maximum.reduce(a.values, axis=axis, keepdims=True))
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
     return _record(tape, Tensor(y), lambda g, sa: _accum_owned(
         sa, (g - (g * y).sum(axis=axis, keepdims=True)) * y), a)
 
@@ -225,17 +226,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     n = x.values.shape[-1]
     if gamma.values.shape[-1] != n or beta.values.shape[-1] != n:
         raise ValueError("layer_norm gamma/beta length must equal feature dimension")
-    centered = x.values - x.values.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat, gv = centered * inv, gamma.values
+
+    def mean(v):  # bitwise ndarray.mean over the last axis
+        return np.add.reduce(v, axis=-1, keepdims=True) / n
+    xhat = x.values - mean(x.values)  # centered, then scaled in place
+    inv = 1.0 / np.sqrt(mean(xhat * xhat) + eps)
+    xhat *= inv
+    gv = gamma.values
 
     def bwd(g, sx, sg, sb):
         _accum_owned(sg, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
         _accum_owned(sb, g.sum(axis=tuple(range(g.ndim - 1))))
         gx = g * gv
-        _accum_owned(sx, (gx - gx.mean(axis=-1, keepdims=True)
-                          - xhat * (gx * xhat).mean(axis=-1, keepdims=True)) * inv)
-    return _record(tape, Tensor(xhat * gv + beta.values), bwd, x, gamma, beta)
+        _accum_owned(sx, (gx - mean(gx) - xhat * mean(gx * xhat)) * inv)
+    y = xhat * gv
+    y += beta.values
+    return _record(tape, Tensor(y), bwd, x, gamma, beta)
 
 
 def concat_rows(parts: list[Tensor], tape: Tape | None = None) -> Tensor:

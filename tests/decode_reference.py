@@ -15,6 +15,10 @@ tests require token-identical output. `hypothesis_score` sums per-prefix
 log-probabilities; it is the oracle for scoring a whole sequence in one
 teacher-forced pass (within 1e-12 relative error) and for comparing decoded
 hypotheses.
+
+`top_candidates` is the beam's candidate selection as the library first
+wrote it: one partition of all W·V scores, flattened token-major. It is the
+oracle for `generation._top_candidates`, which partitions each row.
 """
 
 import numpy as np
@@ -125,3 +129,18 @@ def hypothesis_score(tokens, enc, params, config) -> float:
         score += logp[tok]
         prefix.append(tok)
     return score
+
+
+def top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
+    """(hypothesis, token) pairs of the k best entries of a [W, V] score array,
+    ordered by score descending, then token id, then hypothesis index: a
+    partition of the flattened array finds the k-th score, and only the
+    entries above it plus the first ties in tie-break order are sorted."""
+    w = scores.shape[0]
+    flat = scores.T.ravel()  # index tok * w + h, so ascending index is the tie-break
+    k = min(k, flat.size)
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    above = np.flatnonzero(flat > kth)
+    idx = np.concatenate([above, np.flatnonzero(flat == kth)[:k - above.size]])
+    idx = idx[np.lexsort((idx, -flat[idx]))]
+    return [(int(i % w), int(i // w)) for i in idx]

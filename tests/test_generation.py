@@ -9,7 +9,7 @@ from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
                            tokenize, SOS_ID, EOS_ID)
 from trrgen.generation import (DecodeConfig, beam_decode, decode_group, generate, generate_all,
-                               postprocess)
+                               postprocess, _top_candidates)
 
 import decode_reference as ref
 
@@ -315,6 +315,39 @@ class TestGroupDecoding:
             sizes.clear()
             assert len(generate_all(records, params, config, decode)) == 70
             assert sizes == want
+
+    def test_no_review_gives_no_response(self):
+        params, config = random_model(0)
+        for decode in (DecodeConfig(), DecodeConfig(strategy="beam", beam_width=3)):
+            assert decode_group(params, config, [], decode) == []
+            assert generate_all([], params, config, decode) == []
+
+
+# a tiny value set makes ties everywhere; -inf is a masked token
+TIED_SCORES = st.sampled_from([-np.inf, -2.0, -0.5, 0.0])
+SCORES = st.one_of(TIED_SCORES, st.floats(-30.0, 0.0))
+
+
+class TestTopCandidates:
+    """The row-wise selection against the flat-partition oracle it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.data())
+    def test_matches_flat_partition(self, w, v, data):
+        values = data.draw(st.sampled_from([TIED_SCORES, SCORES]))
+        scores = np.array(data.draw(st.lists(values, min_size=w * v, max_size=w * v)))
+        scores = scores.reshape(w, v)
+        k = data.draw(st.integers(1, w * v + 3))  # k ≥ W·V keeps every entry
+        assert _top_candidates(scores, k) == ref.top_candidates(scores, k)
+
+    @pytest.mark.parametrize("w", [1, 2, 4, 8])
+    def test_matches_flat_partition_at_vocabulary_width(self, w):
+        rng = np.random.default_rng(w)
+        scores = rng.normal(size=(w, 8000))
+        scores[:, rng.integers(0, 8000, 50)] = -np.inf
+        scores[:, 7] = scores.max()  # one token tied at the top of every row
+        for k in (1, 2 * w, 3 * w + 1):
+            assert _top_candidates(scores, k) == ref.top_candidates(scores, k)
 
 
 def eos_biased(seeds):

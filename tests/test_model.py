@@ -60,6 +60,33 @@ class TestPositionalEncoding:
         assert np.array_equal(got, full[start:])
         np.testing.assert_allclose(got, pe_oracle(start + seq_len, d_model)[start:], atol=1e-12)
 
+    def test_rows_are_read_only(self):
+        pe = M.positional_encoding(3, 8, 2)
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+
+    def test_rows_beyond_the_first_table_are_a_direct_computation(self, monkeypatch):
+        """The table grows on demand; every row it serves, before and after it
+        grows, is bitwise the sin/cos computed for just those positions."""
+        monkeypatch.setattr(M, "_PE_TABLES", {})
+
+        def direct(seq_len, d_model, start):
+            pos = np.arange(start, start + seq_len, dtype=np.float64)[:, None]
+            angle = pos / np.power(10000.0, np.arange(0, d_model, 2, dtype=np.float64) / d_model)
+            pe = np.empty((seq_len, d_model))
+            pe[:, 0::2], pe[:, 1::2] = np.sin(angle), np.cos(angle)
+            return pe
+
+        first = M.positional_encoding(5, 10)
+        sizes = [len(M._PE_TABLES[10])]
+        for seq_len, start in [(3, sizes[0] - 1), (1, 3 * sizes[0] + 7), (40, 2)]:
+            got = M.positional_encoding(seq_len, 10, start)
+            assert np.array_equal(got, direct(seq_len, 10, start))
+            sizes.append(len(M._PE_TABLES[10]))
+        assert sizes[0] < sizes[1] < sizes[2] == sizes[3]
+        assert np.array_equal(first, direct(5, 10, 0))
+
 
 class TestConfig:
     def test_head_divisibility(self):
@@ -784,6 +811,46 @@ class TestDecoderStep:
             prefixes = [prefixes[row] + [int(rng.integers(0, 20))] for row in rows]
         with pytest.raises(M.ConfigError, match="max_tgt_len"):
             M.decoder_step([p[-1] for p in prefixes], cache, params, config)
+
+
+class TestGroupCache:
+    """Key masks only for padded groups, and no copy for an unchanged row set."""
+
+    def cache(self, sources):
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                               max_tgt_len=10, dropout=0.0, fusion_variant="trrgen_order")
+        params = M.init_parameters(config)
+        encs = [M.encode_review(EncodedRecord(src, [2, 3], 4, 9), params, config)
+                for src in sources]
+        cache = M.init_group_cache(encs, params, config)
+        M.decoder_step(np.full(len(sources), SOS_ID), cache, params, config)
+        return cache
+
+    @pytest.mark.parametrize("sources", [[[10]], [[10, 11, 12]] * 2, [[10, 11], [12, 13]]])
+    def test_no_mask_without_padding(self, sources):
+        assert self.cache(sources).src_mask is None
+
+    def test_padded_group_keeps_its_mask_through_select(self):
+        cache = self.cache([[10], [11, 12, 13], [14, 15]])
+        mask = cache.src_mask
+        assert mask.shape == (3, 1, 1, 5)
+        assert np.array_equal(mask[:, 0, 0] == 0, [[1, 1, 1, 0, 0], [1] * 5, [1, 1, 1, 1, 0]])
+        for rows in ([2, 0, 0, 1], [1, 2], [1]):
+            cache.select(rows)
+            mask = mask[rows]
+            assert np.array_equal(cache.src_mask, mask)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_identity_select_copies_nothing(self, as_array):
+        cache = self.cache([[10], [11, 12, 13]])
+        cache.select([0, 0, 1])
+
+        def arrays():
+            return [cache.src_mask, cache.reviews,
+                    *(a for kv in cache.self_kv + cache.cross for a in kv)]
+        before = arrays()
+        cache.select(np.arange(3) if as_array else [0, 1, 2])
+        assert all(a is b for a, b in zip(arrays(), before))
 
 
 class TestForwardTraining:
