@@ -208,6 +208,8 @@ def _encode(record, vocab, pre_cfg, where):
 
 
 def _encode_all(records, vocab, pre_cfg, path):
+    if not records:  # an empty file; `split_corpus` leaves no split empty
+        raise CliError(f"{path}: empty corpus")
     return [_encode(r, vocab, pre_cfg, f"{path}: record {n}")
             for n, r in enumerate(records, start=1)]
 
@@ -281,8 +283,6 @@ def cmd_generate(args) -> int:
 def cmd_evaluate(args) -> int:
     decode, params, config, vocab, pre_cfg = _load_model(args)
     records = C.load_corpus(args.test)
-    if not records:
-        raise CliError(f"{args.test}: empty test corpus")
     report = evaluate_model(params, config, vocab, _encode_all(records, vocab, pre_cfg, args.test),
                             [C.normalize_text(r.response_text, pre_cfg) for r in records],
                             decode, label=config.fusion_variant)

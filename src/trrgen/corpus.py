@@ -324,6 +324,8 @@ def build_vocabulary(records: list[ReviewRecord], min_freq: int = 2) -> Vocabula
     tokens are ordered by frequency (ties alphabetically) so construction is
     deterministic.
     """
+    if min_freq < 1:  # a lower cut-off would keep every token, as 1 does
+        raise CorpusError(f"min_freq must be >= 1, got {min_freq!r}")
     freq: Counter = Counter()
     categories = set()
     for rec in records:

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord
-from .model import (ModelConfig, ConfigError, Parameters, EncoderOutput, encode_review,
-                    init_group_cache, decoder_step)
+from .model import (ModelConfig, ConfigError, Parameters, encode_review, init_group_cache,
+                    decoder_step)
+from .tensor import Tensor
 
 
 # Live hypotheses, and so decoding time and memory, grow with the width. It
@@ -89,7 +90,7 @@ def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     return list(zip(h[best].tolist(), tok[best].tolist()))
 
 
-def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutput],
+def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
                  decode: DecodeConfig) -> list[list[int]]:
     """Beam search over summed token log-probabilities for a group of
     reviews at once; greedy is width 1.
@@ -151,7 +152,7 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[EncoderOutp
             for done, left in zip(finished, live)]
 
 
-def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
+def beam_decode(params: Parameters, config: ModelConfig, enc: Tensor,
                 decode: DecodeConfig) -> list[int]:
     """`decode_group` for one review: its response."""
     return decode_group(params, config, [enc], decode)[0]
@@ -159,8 +160,7 @@ def beam_decode(params: Parameters, config: ModelConfig, enc: EncoderOutput,
 
 def generate(record: EncodedRecord, params: Parameters, config: ModelConfig,
              decode: DecodeConfig) -> list[int]:
-    enc = encode_review(record, params, config, tape=None)
-    return beam_decode(params, config, enc, decode)
+    return beam_decode(params, config, encode_review(record, params, config), decode)
 
 
 def generate_all(records: list[EncodedRecord], params: Parameters, config: ModelConfig,

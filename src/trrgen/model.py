@@ -8,8 +8,8 @@ Sublayers use post-norm ordering: LayerNorm(x + f(x)).
 The decoder is one core, `_decode_positions`: `decoder_forward` runs a whole
 target through it from an empty key/value cache, and `decoder_step` one new
 position for the live hypotheses of a group of reviews (`init_group_cache`).
-Only `init_decoder_cache` projects a cache's cross-attention keys and
-values. `tests/decode_reference.py` keeps a reference decoder as the oracle.
+Only `init_decoder_cache` projects cross-attention keys and values, from the
+states `encode` returns. `tests/decode_reference.py` keeps a reference decoder.
 
 Training runs a batch as packed rows (`forward_training`): the fused inputs
 of all its reviews end to end, and all its targets end to end, with no
@@ -154,13 +154,6 @@ class Parameters:
 
     def all_tensors(self) -> list[Tensor]:
         return [t for _, t in self.named()]
-
-
-@dataclass
-class EncoderOutput:
-    states: Tensor          # [..., fused length, d_model], or packed [Σ rows, d_model]
-    src_mask: np.ndarray | None  # additive key mask (0 or -inf), broadcast onto the scores
-    rows: np.ndarray | None = None  # packed reviews' counts of rows
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +379,10 @@ def _encoder_states(x: Tensor, src_mask: np.ndarray | None, rows: np.ndarray | N
 
 def encode(x: Tensor, src_mask: np.ndarray | None, params: Parameters, config: ModelConfig,
            tape: Tape | None = None, training: bool = False,
-           rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Encoder states for [..., n, d] inputs; `src_mask` is None (no mask) or an
-    additive key mask that broadcasts onto the [..., H, n, n] attention scores."""
-    return EncoderOutput(_encoder_states(x, src_mask, None, params, config, tape, training, rng),
-                         src_mask)
+           rng: np.random.Generator | None = None) -> Tensor:
+    """Encoder states [..., n, d] for [..., n, d] inputs; `src_mask` is None (no
+    mask) or an additive key mask that broadcasts onto the [..., H, n, n] scores."""
+    return _encoder_states(x, src_mask, None, params, config, tape, training, rng)
 
 
 @dataclass
@@ -400,8 +392,8 @@ class DecoderCache:
     encoder states, which broadcast against the hypothesis rows, and
     `self_kv` the self-attention keys [N, H, d_k, length] and values
     [N, H, length, d_k] of the positions decoded so far (None before the
-    first), one row per live hypothesis. For packed reviews, `src_rows` holds
-    each review's count of encoder rows.
+    first), one row per live hypothesis. `src_mask` and `src_rows` are the
+    key mask and packed row counts that `init_decoder_cache` was handed.
 
     A group cache (`init_group_cache`) decodes several reviews at once:
     `reviews` names the review of each row, and `cross` holds one copy of
@@ -431,32 +423,34 @@ class DecoderCache:
                 self.src_mask = self.src_mask[rows]
 
 
-def init_decoder_cache(enc: EncoderOutput, params: Parameters, config: ModelConfig,
-                       tape: Tape | None = None) -> DecoderCache:
+def init_decoder_cache(states: Tensor, params: Parameters, config: ModelConfig,
+                       tape: Tape | None = None, src_mask: np.ndarray | None = None,
+                       src_rows: np.ndarray | None = None) -> DecoderCache:
     """An empty cache for decoding from the [..., Tk, d] encoder states of one
-    review or of a padded group, or the packed ones of several: each layer's
+    review or of a padded group, whose keys `src_mask` masks, or from the
+    packed states of reviews `src_rows[j]` rows long each: each layer's
     cross-attention keys and values, recorded on `tape`."""
-    cross = [(_heads(enc.states, a.wk, config.d_k, tape, keys=True),
-              _heads(enc.states, a.wv, config.d_k, tape))
+    cross = [(_heads(states, a.wk, config.d_k, tape, keys=True),
+              _heads(states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
-    return DecoderCache(cross, enc.src_mask, [None] * len(params.decoder), src_rows=enc.rows)
+    return DecoderCache(cross, src_mask, [None] * len(params.decoder), src_rows=src_rows)
 
 
-def init_group_cache(encs: list[EncoderOutput], params: Parameters,
+def init_group_cache(states: list[Tensor], params: Parameters,
                      config: ModelConfig) -> DecoderCache:
-    """An empty cache for decoding the reviews of `encs`, each with [Tk_r, d]
-    states, together: row r of the first step is review r's. The states are
-    padded with zero rows to the longest review and go to
+    """An empty cache for decoding together the reviews whose [Tk_r, d]
+    encoder states are `states`: row r of the first step is review r's. The
+    states are padded with zero rows to the longest review and go to
     `init_decoder_cache` as one [R, Tk, d] stack. When some review is
     padded, a key mask hides the padding from cross-attention; otherwise
     there is no mask."""
-    rows = np.array([enc.states.values.shape[0] for enc in encs])
+    rows = np.array([s.values.shape[0] for s in states])
     real = np.arange(rows.max()) < rows[:, None]  # [R, Tk] slots that hold a row
     padded = np.zeros((*real.shape, config.d_model))
-    padded[real] = np.concatenate([enc.states.values for enc in encs])
+    padded[real] = np.concatenate([s.values for s in states])
     mask = None if real.all() else np.where(real, 0.0, NEG_INF)[:, None, None]
-    enc = EncoderOutput(Tensor(padded), mask)
-    return replace(init_decoder_cache(enc, params, config), reviews=np.arange(len(encs)))
+    cache = init_decoder_cache(Tensor(padded), params, config, src_mask=mask)
+    return replace(cache, reviews=np.arange(len(states)))
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
@@ -509,13 +503,13 @@ def _logits(h: Tensor, params: Parameters, tape: Tape | None = None) -> Tensor:
     return add(matmul(h, params.out_proj, tape), params.out_bias, tape)
 
 
-def decoder_forward(tgt_input_ids, enc: EncoderOutput, params: Parameters,
+def decoder_forward(tgt_input_ids, enc: Tensor, params: Parameters,
                     config: ModelConfig, tape: Tape | None = None, training: bool = False,
                     rng: np.random.Generator | None = None) -> Tensor:
     """Logits [..., T, V] from ⟨sos⟩-shifted targets [..., T]: all T positions
     decoded at once from an empty cache, so self-attention is causal. Leading
-    axes of the targets broadcast against those of `enc`, so W prefixes of one
-    review share its encoder states."""
+    axes of the targets broadcast against those of the encoder states `enc`,
+    so W prefixes of one review share its states."""
     cache = init_decoder_cache(enc, params, config, tape)
     return _logits(_decode_positions(tgt_input_ids, cache, params, config, tape, training, rng),
                    params, tape)
@@ -533,7 +527,7 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,
                   tape: Tape | None = None, training: bool = False,
-                  rng: np.random.Generator | None = None) -> EncoderOutput:
+                  rng: np.random.Generator | None = None) -> Tensor:
     """embed_review + encode for one encoded record, which has no padding to mask."""
     x = embed_review(rec.src_ids, rec.rating_id, rec.category_id,
                      config.fusion_variant, params, tape)
@@ -565,8 +559,7 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
                     np.array([r.category_id for r in batch]),
                     config.fusion_variant, params, tape)
     states = _encoder_states(x, None, src_rows, params, config, tape, training, rng)
-    cache = init_decoder_cache(EncoderOutput(states, src_mask=None, rows=src_rows),
-                               params, config, tape)
+    cache = init_decoder_cache(states, params, config, tape, src_rows=src_rows)
     h = _decode_positions(np.concatenate([t[:-1] for t in tgt]), cache, params, config,
                           tape, training, rng, tgt_rows)
     total = linear_cross_entropy(h, params.out_proj, params.out_bias,

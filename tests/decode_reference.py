@@ -45,7 +45,7 @@ def decoder_forward(tgt_input_ids, enc, params, config, tape=None, training=Fals
         z = multi_head_attention(h, h, self_mask, layer.self_attn, tape, config.d_k)
         z = dropout(z, config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm1, tape)
-        z = multi_head_attention(h, enc.states, enc.src_mask, layer.cross_attn, tape, config.d_k)
+        z = multi_head_attention(h, enc, None, layer.cross_attn, tape, config.d_k)
         z = dropout(z, config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm2, tape)
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)

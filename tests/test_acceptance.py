@@ -132,7 +132,7 @@ def test_c05_feature_sensitivity():
         outs = []
         for rating_id in (4, 8):
             rec = EncodedRecord([10, 11, 12], [2, 3], rating_id, 9)
-            outs.append(M.encode_review(rec, params, cfg).states.values)
+            outs.append(M.encode_review(rec, params, cfg).values)
         norms[variant] = float(np.linalg.norm(outs[0] - outs[1]))
     for variant in ("trrgen_concat", "trrgen_sum", "trrgen_order", "rating_only"):
         assert norms[variant] > 0.0

@@ -129,6 +129,16 @@ class TestBuildVocab:
                     "--min-freq", 1]) == 0
         assert v1.read_bytes() == v2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["build-vocab", "ablate"])
+    def test_min_freq_below_one_is_one_error_line(self, corpus_file, tmp_path, capsys, command):
+        """Both used to keep every token and exit 0."""
+        vocab = tmp_path / "vocab.json"
+        args = {"build-vocab": ["--input", corpus_file, "--output", vocab],
+                "ablate": ["--data", corpus_file]}[command]
+        code = run([command, *args, "--min-freq", -3])
+        assert_one_error_line(code, capsys, "error: min_freq must be >= 1, got -3")
+        assert not vocab.exists()
+
 
 def train_tiny(tmp_path, corpus_file, seed=0, variant="trrgen_concat", epochs=2):
     vocab = tmp_path / "vocab.json"
@@ -162,6 +172,23 @@ class TestTrainGenerateEvaluate:
         assert len(entries) == 2
         assert entries[0]["epoch"] == 1 and "train_loss" in entries[0]
         assert ckpt.exists()
+
+    @pytest.mark.parametrize("flag", ["--train", "--valid"])
+    def test_empty_corpus_is_one_error_line(self, tmp_path, corpus_file, capsys, flag):
+        """Before any epoch runs, and no checkpoint is written. An empty
+        --valid used to train with no validation, and an empty --train
+        failed without naming the file."""
+        vocab, ckpt, empty = tmp_path / "vocab.json", tmp_path / "m.ckpt", tmp_path / "e.jsonl"
+        empty.write_text("")
+        assert run(["build-vocab", "--input", corpus_file, "--output", vocab,
+                    "--min-freq", 1]) == 0
+        capsys.readouterr()
+        corpora = {"--train": corpus_file, "--valid": corpus_file, flag: empty}
+        code = run(["train", *(x for pair in corpora.items() for x in pair), "--vocab", vocab,
+                    "--output", ckpt, "--epochs", 1, "--d-model", 8, "--n-heads", 2,
+                    "--d-ff", 16])
+        assert_one_error_line(code, capsys, f"error: {empty}: empty corpus")
+        assert not ckpt.exists()
 
     def test_training_log_is_seed_deterministic(self, tmp_path, corpus_file, capsys):
         (tmp_path / "a").mkdir()
@@ -423,8 +450,8 @@ class TestTrainGenerateEvaluate:
     def test_evaluate_empty_test_fails(self, trained, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert run(["evaluate", "--checkpoint", trained, "--test", empty]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        code = run(["evaluate", "--checkpoint", trained, "--test", empty])
+        assert_one_error_line(code, capsys, f"error: {empty}: empty corpus")
 
 
 @pytest.mark.parametrize("args,words", [

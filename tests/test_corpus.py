@@ -233,6 +233,13 @@ class TestVocabulary:
         assert vocab.token_to_id.get("common", C.UNK_ID) != C.UNK_ID
         assert vocab.token_to_id.get("rare", C.UNK_ID) == C.UNK_ID
 
+    @pytest.mark.parametrize("min_freq", [0, -3])
+    def test_min_freq_below_one_rejected(self, min_freq):
+        """A cut-off below 1 used to keep every token silently."""
+        records = [C.ReviewRecord("a", "T", 3, "common rare", "common")]
+        with pytest.raises(C.CorpusError, match=f"^min_freq must be >= 1, got {min_freq}$"):
+            C.build_vocabulary(records, min_freq=min_freq)
+
     def test_bijection_round_trip(self):
         vocab = C.build_vocabulary(
             [C.ReviewRecord("a", "T", 3, "a b c d", "e f g")], min_freq=1)

@@ -385,34 +385,42 @@ def encode_for(variant, rating_id, params, config, src=(10, 11, 12), cat_id=9):
 class TestEncoder:
     def test_output_length_matches_input(self, tiny_config, tiny_params):
         enc = encode_for("trrgen_concat", 4, tiny_params, tiny_config)
-        assert enc.states.values.shape == (4, 8)
+        assert enc.values.shape == (4, 8)
 
     @pytest.mark.parametrize("variant", ["trrgen_concat", "trrgen_sum", "trrgen_order"])
     def test_rating_sensitivity(self, tiny_config, tiny_params, variant):
-        a = encode_for(variant, 4, tiny_params, tiny_config).states.values
-        b = encode_for(variant, 5, tiny_params, tiny_config).states.values
+        a = encode_for(variant, 4, tiny_params, tiny_config).values
+        b = encode_for(variant, 5, tiny_params, tiny_config).values
         assert np.linalg.norm(a - b) > 0.0
 
     @pytest.mark.parametrize("variant", ["vanilla", "category_only"])
     def test_rating_insensitive_variants(self, tiny_config, tiny_params, variant):
-        a = encode_for(variant, 4, tiny_params, tiny_config).states.values
-        b = encode_for(variant, 5, tiny_params, tiny_config).states.values
+        a = encode_for(variant, 4, tiny_params, tiny_config).values
+        b = encode_for(variant, 5, tiny_params, tiny_config).values
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
-    def test_review_needs_no_mask(self, variant):
+    def test_review_needs_no_mask(self, variant, monkeypatch):
         """`encode_review` passes no key mask: its states equal, bitwise,
         those under the all-zero mask of a review's keys."""
         config = M.ModelConfig(vocab_size=40, d_model=8, n_heads=2, n_layers=2, d_ff=16,
                                max_tgt_len=10, dropout=0.0, fusion_variant=variant, seed=0)
         params = M.init_parameters(config, seed=0)
         rng = np.random.default_rng(0)
+        encode, masks = M.encode, []
+
+        def spy(x, src_mask, *args, **kwargs):
+            masks.append(src_mask)
+            return encode(x, src_mask, *args, **kwargs)
         for n in (1, 5, 100):
             rec = EncodedRecord(rng.integers(13, 40, n).tolist(), [2, 3], 5, 10)
-            enc = M.encode_review(rec, params, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(M, "encode", spy)
+                enc = M.encode_review(rec, params, config)
             zero = encode_for(variant, 5, params, config, src=rec.src_ids, cat_id=10)
-            assert enc.src_mask is None
-            np.testing.assert_array_equal(enc.states.values, zero.states.values)
+            assert masks == [None]
+            masks.clear()
+            np.testing.assert_array_equal(enc.values, zero.values)
 
 
 class TestDecoder:
