@@ -190,6 +190,8 @@ def cmd_report_ads(args) -> int:
 def cmd_build_vocab(args) -> int:
     cfg = _config_from_args(args)
     records = C.load_corpus(args.input, args.format)
+    if not records:
+        raise CliError(f"{args.input}: empty corpus")
     vocab = C.build_vocabulary(records, min_freq=cfg["min_freq"])
     vocab.save(args.output)
     print(f"wrote vocabulary of {len(vocab)} tokens to {args.output}")

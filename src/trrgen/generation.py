@@ -1,21 +1,21 @@
 """Decoding a trained model into response text.
 
-Both strategies run one deterministic beam search over summed token
-log-probabilities: "beam" at `beam_width`, "greedy" at width 1, which picks
-the most probable token (ties broken by lowest token id) at each step. There
-is no sampling path.
+Decoding is deterministic, with no sampling path. Greedy decoding, like
+beam search at width 1, takes each review's highest logit at every step
+(ties to the lowest token id); beam search at width 2 and above ranks
+hypotheses by summed token log-probabilities.
 
-Decoding is incremental and grouped: `decode_group` decodes several reviews
-together, and each step runs only the newest position of every live
-hypothesis of every unfinished review, in one call of `model.decoder_step`
-(the decoder core that training also runs) against the group's key/value
-cache, so no step recomputes a prefix. Each review keeps its own beam, so
-its response (the winner without ⟨sos⟩ and ⟨eos⟩) does not depend on the
-other reviews of its group. `generate` decodes one review, and
-`generate_all` many, in groups that keep a step within MAX_BEAM_WIDTH rows.
-Tests hold the loop to the per-review, per-prefix decoders of
-`tests/decode_reference.py`, which rerun that file's reference decoder on
-every prefix.
+Both run incrementally and grouped, on one decoder core: `decode_group`
+decodes several reviews together, and each step runs only the newest
+position of every live hypothesis of every unfinished review, in one call
+of `model.decoder_step` (the core that training also runs) against the
+group's key/value cache, so no step recomputes a prefix. Each review keeps
+its own hypotheses, so its response (the winner without ⟨sos⟩ and ⟨eos⟩)
+does not depend on the other reviews of its group. `generate` decodes one
+review, and `generate_all` many, in groups that keep a step within
+MAX_BEAM_WIDTH rows. Tests hold the loop to the per-review, per-prefix
+decoders of `tests/decode_reference.py`, which rerun that file's reference
+decoder on every prefix.
 """
 
 from __future__ import annotations
@@ -92,17 +92,19 @@ def _top_candidates(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
 
 def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
                  decode: DecodeConfig) -> list[list[int]]:
-    """Beam search over summed token log-probabilities for a group of
-    reviews at once; greedy is width 1.
+    """Decode a group of reviews at once: each step runs the decoder once, on
+    the newest token of every live hypothesis of every unfinished review,
+    stacked review by review.
 
-    Each step runs the decoder once, on the newest token of every live
-    hypothesis of every unfinished review, stacked review by review. Each
-    review then scores its hypotheses extended by every token and walks its
-    best 2·width candidates: those ending in ⟨eos⟩ are retired, the rest stay
-    live until `width` are, and the cache keeps the rows of their parents. A
-    review is done once it has no live hypothesis or `width` finished ones,
-    and its rows leave the cache. Its best finished hypothesis (or, failing
-    any, its best live one) wins.
+    At width 1 (greedy), each review's next token is its row's argmax, and
+    a review whose token is ⟨eos⟩ is done and leaves the cache. At width 2
+    and above, beam search: each review scores its hypotheses extended by
+    every token, by summed log-probability, and walks its best 2·width
+    candidates. Those ending in ⟨eos⟩ are retired, the rest stay live until
+    `width` are, and the cache keeps the rows of their parents. A review is
+    done once it has no live hypothesis or `width` finished ones, and its
+    rows leave the cache. Its best finished hypothesis (or, failing any, its
+    best live one) wins.
 
     Returns each review's response: its winner without ⟨sos⟩ and ⟨eos⟩,
     `length_cap` tokens long exactly when decoding stopped at the cap.
@@ -110,10 +112,24 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
     max_len, width = decode.length_cap(config), decode.width
     if not encs:
         return []
+    cache = init_group_cache(encs, params, config)
+    if width == 1:
+        responses = [[] for _ in encs]
+        active, tokens = np.arange(len(encs)), np.full(len(encs), SOS_ID)
+        for _ in range(max_len):
+            tokens = decoder_step(tokens, cache, params, config).argmax(axis=1)
+            going = tokens != EOS_ID
+            if not going.all():
+                active, tokens = active[going], tokens[going]
+                if not active.size:
+                    break
+                cache.select(np.flatnonzero(going))
+            for r, tok in zip(active.tolist(), tokens.tolist()):
+                responses[r].append(tok)
+        return responses
     live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
     finished: list[list[tuple[list[int], float]]] = [[] for _ in encs]
     active = list(range(len(encs)))  # unfinished reviews, in row order
-    cache = init_group_cache(encs, params, config)
 
     for _ in range(max_len):
         hyps = [hyp for r in active for hyp in live[r]]

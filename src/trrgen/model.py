@@ -409,10 +409,7 @@ class DecoderCache:
 
     def select(self, rows):
         """Keep a group cache's hypotheses at `rows`, in that order; a row may
-        repeat. A review none of whose rows is kept drops out of the next step.
-        Keeping every row in order, as each greedy step does, copies nothing."""
-        if np.asarray(rows).tolist() == list(range(len(self.reviews))):
-            return
+        repeat. A review none of whose rows is kept drops out of the next step."""
         self.self_kv = [(k_t[rows], v[rows]) for k_t, v in self.self_kv]
         # rows that keep their reviews keep their cross keys and values
         if not np.array_equal(self.reviews[rows], self.reviews):

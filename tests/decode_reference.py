@@ -10,11 +10,11 @@ The per-prefix decoders rerun that `decoder_forward` on every prefix they
 extend and keep the last row, with no cache. `greedy_decode` appends the
 argmax token and `beam_decode` builds and sorts a Python list of
 (prefix, score, token) candidates each step. The library decodes one
-position per step from a key/value cache, in one vectorized beam loop, and
-tests require token-identical output. `hypothesis_score` sums per-prefix
-log-probabilities; it is the oracle for scoring a whole sequence in one
-teacher-forced pass (within 1e-12 relative error) and for comparing decoded
-hypotheses.
+position per step from a key/value cache, greedy as a per-row argmax and
+beam search in one vectorized loop, and tests require token-identical
+output. `hypothesis_score` sums per-prefix log-probabilities; it is the
+oracle for scoring a whole sequence in one teacher-forced pass (within
+1e-12 relative error) and for comparing decoded hypotheses.
 
 `top_candidates` is the beam's candidate selection as the library first
 wrote it: one partition of all W·V scores, flattened token-major. It is the

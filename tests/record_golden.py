@@ -124,6 +124,18 @@ def _checked_top_candidates(select):
     return top_candidates
 
 
+def _checked_decoder_step(step):
+    """`decoder_step` that checks the gap between each row's best two logits,
+    on which a greedy step's argmax rests (log-probabilities of one row
+    differ as its logits do)."""
+    def decoder_step(*args):
+        logits = step(*args)
+        for row in logits:
+            _check_gaps(np.sort(row)[-2:], "a row's best two tokens")
+        return logits
+    return decoder_step
+
+
 def _checked_max(*args, key=None, **kwargs):
     """`max` that checks the margin between the best two keys it ranks."""
     if key is not None:
@@ -135,6 +147,7 @@ def _checked_max(*args, key=None, **kwargs):
 
 def main():
     generation._top_candidates = _checked_top_candidates(generation._top_candidates)
+    generation.decoder_step = _checked_decoder_step(generation.decoder_step)
     generation.max = _checked_max  # ranks the finished hypotheses in `decode_group`
     golden = golden_outputs()
     unpenalized = DecodeConfig("beam", beam_width=3)

@@ -139,6 +139,14 @@ class TestBuildVocab:
         assert_one_error_line(code, capsys, "error: min_freq must be >= 1, got -3")
         assert not vocab.exists()
 
+    def test_empty_corpus_is_one_error_line(self, tmp_path, capsys):
+        """It used to write a vocabulary of the special tokens only and exit 0."""
+        empty, vocab = tmp_path / "empty.jsonl", tmp_path / "vocab.json"
+        empty.write_text("")
+        code = run(["build-vocab", "--input", empty, "--output", vocab])
+        assert_one_error_line(code, capsys, f"error: {empty}: empty corpus")
+        assert not vocab.exists()
+
 
 def train_tiny(tmp_path, corpus_file, seed=0, variant="trrgen_concat", epochs=2):
     vocab = tmp_path / "vocab.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trrgen import model as M
+from trrgen import generation, model as M
 from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
                            tokenize, SOS_ID, EOS_ID)
@@ -152,7 +152,7 @@ def tied(seed):
 
 
 class TestMatchesReference:
-    """The one beam loop against the loop-based decoders of decode_reference."""
+    """The greedy and beam loops against the loop-based decoders of decode_reference."""
 
     @staticmethod
     def check(seed, cases):
@@ -315,6 +315,51 @@ class TestGroupDecoding:
             sizes.clear()
             assert len(generate_all(records, params, config, decode)) == 70
             assert sizes == want
+
+    @pytest.mark.parametrize("seed", [2, 5, 10, 19])
+    def test_greedy_takes_the_argmax_of_each_row(self, seed, monkeypatch):
+        """One decoder step per step and no beam scoring: each review takes
+        its row's argmax, and the step's rows fall as reviews retire. The
+        cache is touched only on a step where some review retires."""
+        _, (_, params, config) = seeded_and_eos_boosted(seed)
+        records = [EncodedRecord(src, [2, 3], 4 + i, 9)
+                   for i, src in enumerate([[9], [10, 11, 12], [13, 9], [12]])]
+        rows, dropped, select = [], [], M.DecoderCache.select
+
+        def counting(tokens, *args):
+            rows.append(len(tokens))
+            return M.decoder_step(tokens, *args)
+
+        def selecting(cache, kept):
+            dropped.append(len(cache.reviews) - len(kept))
+            return select(cache, kept)
+
+        def beam_only(*args):
+            raise AssertionError("a greedy step ran beam scoring")
+        monkeypatch.setattr("trrgen.generation.decoder_step", counting)
+        monkeypatch.setattr("trrgen.generation._top_candidates", beam_only)
+        monkeypatch.setattr("trrgen.generation._log_softmax", beam_only)
+        monkeypatch.setattr(M.DecoderCache, "select", selecting)
+        got = generate_all(records, params, config, DecodeConfig())
+        encs = [M.encode_review(rec, params, config) for rec in records]
+        assert got == [ref.greedy_decode(params, config, enc, DecodeConfig()) for enc in encs]
+        cap = config.max_tgt_len - 1
+        steps = [min(len(ids) + 1, cap) for ids in got]  # a response ended by ⟨eos⟩ took one more
+        assert len(set(steps)) > 1  # finished at different steps
+        assert rows == [sum(n > k for n in steps) for k in range(max(steps))]
+        assert dropped and 0 not in dropped
+
+    def test_beam_scores_candidates(self, monkeypatch):
+        params, config = random_model(3)
+        calls = []
+        for name in ("_top_candidates", "_log_softmax"):
+            def counted(*args, name=name, fn=getattr(generation, name)):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(generation, name, counted)
+        decode = DecodeConfig(strategy="beam", beam_width=3, max_len=4)
+        beam_decode(params, config, enc_for(params, config), decode)
+        assert {"_top_candidates", "_log_softmax"} <= set(calls)
 
     def test_no_review_gives_no_response(self):
         params, config = random_model(0)

@@ -822,7 +822,7 @@ class TestDecoderStep:
 
 
 class TestGroupCache:
-    """Key masks only for padded groups, and no copy for an unchanged row set."""
+    """Key masks only for padded groups, kept row for row through `select`."""
 
     def cache(self, sources):
         config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=2, d_ff=16,
@@ -847,18 +847,6 @@ class TestGroupCache:
             cache.select(rows)
             mask = mask[rows]
             assert np.array_equal(cache.src_mask, mask)
-
-    @pytest.mark.parametrize("as_array", [False, True])
-    def test_identity_select_copies_nothing(self, as_array):
-        cache = self.cache([[10], [11, 12, 13]])
-        cache.select([0, 0, 1])
-
-        def arrays():
-            return [cache.src_mask, cache.reviews,
-                    *(a for kv in cache.self_kv + cache.cross for a in kv)]
-        before = arrays()
-        cache.select(np.arange(3) if as_array else [0, 1, 2])
-        assert all(a is b for a, b in zip(arrays(), before))
 
 
 class TestForwardTraining:
