@@ -6,8 +6,9 @@ metadata, tensor manifest), then one uint64-length-prefixed raw float64 block
 per tensor in `Parameters.named()` order. Attention projections are stored
 fused, one d_model x d_model block each; version 1 stored one block per head
 and is rejected, like any truncated or inconsistent file or one holding a
-non-finite weight. The JSON header is serialized with sorted keys so
-identical state produces byte-identical files.
+non-finite weight. The JSON header is strict JSON, with sorted keys so
+identical state produces byte-identical files: a NaN or infinite value in it
+is an error before a save writes anything, though a load still reads one.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def save_checkpoint(path, params: Parameters, config: ModelConfig,
         "metadata": metadata or {},
         "tensors": [[name, list(t.values.shape)] for name, t in named],
     }
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=False,
-                      separators=(",", ":")).encode("utf-8")
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
     tmp = f"{path}.{os.getpid()}.tmp"  # so that a failed save leaves the old file whole
     try:
         with open(tmp, "wb") as fh:

@@ -98,7 +98,9 @@ def _typed(path, what: str, data, keys) -> dict:
         try:  # an int for a float key is stored as a float, as a flag's would be
             values[key] = float(value) if kind == "float" else value
         except OverflowError:
-            raise CliError(f"{path}: {key} is out of range, got {value!r}") from None
+            values[key] = np.inf
+        if kind == "float" and not np.isfinite(values[key]):  # a checkpoint header is strict JSON
+            raise CliError(f"{path}: {key} is out of range, got {value!r}")
     return values
 
 
@@ -251,8 +253,8 @@ def cmd_train(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             result = train_model(train_recs, valid_recs, model_cfg, opts, log_fn)
     save_checkpoint(args.output, result.params, model_cfg, vocab, run_config=cfg,
-                    metadata={"best_epoch": result.best_epoch,
-                              "best_valid_loss": result.best_valid_loss})
+                    metadata={"best_epoch": result.best_epoch, "best_valid_loss":
+                              None if result.best_epoch < 0 else result.best_valid_loss})
     print(f"saved checkpoint to {args.output}")
     return 0
 

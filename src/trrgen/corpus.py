@@ -379,6 +379,8 @@ def encode_record(record: ReviewRecord, vocab: Vocabulary,
 def check_split_ratios(ratios: tuple[float, float, float]):
     if not abs(sum(ratios) - 1.0) <= 1e-9:  # `not <=`, so a NaN ratio fails too
         raise CorpusError(f"split ratios must sum to 1, got {ratios}")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise CorpusError(f"split ratios must each lie in [0, 1], got {ratios}")
 
 
 def split_corpus(records: list[ReviewRecord], seed: int,

@@ -5,14 +5,18 @@ Calling `Tape.backward` runs the recorded entries in reverse order,
 accumulating gradients into each tensor's `.grad` array. With `tape=None` a
 primitive records nothing, as in inference and `grad_check`'s differences.
 
-Every primitive records its backward rule through one helper, `_record`, and
-takes any number of leading batch axes: a [T, d] input and a [..., T, d] input
-run the same code. A rule holds only the arrays it reads, the shapes it needs
-and the gradient slots (`.grad`, shape and dtype) of its inputs and output,
-never a tensor, so an intermediate that no rule reads is freed during the
-forward pass. Backward drops each entry, with its arrays, once it has run, and
-frees each intermediate gradient once it is used, so only leaves such as
-parameters keep `.grad` afterwards.
+Every primitive takes any number of leading batch axes: a [T, d] input and a
+[..., T, d] input run the same code. Each records its backward rule through
+one helper, `_record`, but `split_rows` records one entry for all its blocks.
+A rule holds only the arrays it reads, the shapes it needs and the gradient
+slots (`.grad`, shape and dtype) of its inputs and output, never a tensor, so
+an intermediate that no rule reads is freed during the forward pass. Backward
+drops each entry, with its arrays, once it has run, and frees each
+intermediate gradient once it is used, so only leaves such as parameters keep
+`.grad` afterwards. `_accum` makes the array a rule hands it the slot's
+gradient, or adds it in place, so that array must be one nothing else reads
+or writes: a fresh product or a disjoint view of the `g` the rule owns. `add`
+is the one exception: its first operand takes `g`, so its second gets a copy.
 
 Packed rows, several sequences end to end along the row axis, are cut into
 per-sequence views by `split_rows` and joined again by `concat_rows`.
@@ -61,8 +65,6 @@ class Tensor:
     kept in a gradient slot made when a tape first records the tensor."""
 
     __slots__ = ("values", "_slot")
-    shape = property(lambda self: self.values.shape)
-    dtype = property(lambda self: self.values.dtype)
 
     def __init__(self, values, dtype=np.float64):
         self.values = np.asarray(values, dtype=dtype)
@@ -83,16 +85,7 @@ class Tensor:
         return f"Tensor(shape={self.values.shape})"
 
 
-def _accum(s: _Slot, g: np.ndarray):
-    if s.grad is None:
-        s.grad = np.zeros(s.shape, s.dtype)
-    s.grad += g
-
-
-def _accum_owned(s: _Slot, g: np.ndarray):
-    """`_accum` for a `g` that nothing else reads or writes afterwards, such
-    as a fresh product: it becomes the gradient when there is none yet, with
-    no zero-filled copy."""
+def _accum(s: _Slot, g: np.ndarray):  # see the module docstring
     if s.grad is None:
         s.grad = g
     else:
@@ -174,8 +167,8 @@ def matmul(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
 
     def bwd(g, sa, sb):
         g = g.reshape(len(av), bv.shape[1]) if rows else g
-        _accum_owned(sa, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
-        _accum_owned(sb, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
+        _accum(sa, _unbroadcast(g @ bv.swapaxes(-1, -2), av.shape).reshape(shape))
+        _accum(sb, _unbroadcast(av.swapaxes(-1, -2) @ g, bv.shape))
     return _record(tape, Tensor(out.reshape(*shape[:-1], bv.shape[1]) if rows else out), bwd, a, b)
 
 
@@ -189,20 +182,20 @@ def add(a: Tensor, b: Tensor | np.ndarray, tape: Tape | None = None) -> Tensor:
                     and np.broadcast_shapes(av.shape, bv.shape) != av.shape):
         raise ValueError(f"add shape mismatch: {av.shape} + {bv.shape}")
 
-    def bwd(g, sa, sb=None):  # `a` takes `g` itself, so `b` gets a copy
-        _accum_owned(sa, g)
+    def bwd(g, sa, sb=None):
+        _accum(sa, g)
         if sb is not None:
-            _accum(sb, _unbroadcast(g, sb.shape))
+            _accum(sb, _unbroadcast(g, sb.shape).copy())
     return _record(tape, Tensor(av + bv), bwd, a, *([b] if isinstance(b, Tensor) else []))
 
 
 def scale(a: Tensor, s: float, tape: Tape | None = None) -> Tensor:
-    return _record(tape, Tensor(a.values * s), lambda g, sa: _accum_owned(sa, g * s), a)
+    return _record(tape, Tensor(a.values * s), lambda g, sa: _accum(sa, g * s), a)
 
 
 def relu(a: Tensor, tape: Tape | None = None) -> Tensor:
     y = np.maximum(a.values, 0.0)  # the rule masks `g` in place by y > 0, bitwise a > 0
-    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(sa, np.multiply(g, y > 0, out=g)), a)
+    return _record(tape, Tensor(y), lambda g, sa: _accum(sa, np.multiply(g, y > 0, out=g)), a)
 
 
 def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
@@ -214,7 +207,7 @@ def softmax(a: Tensor, tape: Tape | None = None, axis: int = -1) -> Tensor:
     y = np.subtract(a.values, np.maximum.reduce(a.values, axis=axis, keepdims=True))
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=axis, keepdims=True)
-    return _record(tape, Tensor(y), lambda g, sa: _accum_owned(
+    return _record(tape, Tensor(y), lambda g, sa: _accum(
         sa, (g - (g * y).sum(axis=axis, keepdims=True)) * y), a)
 
 
@@ -235,10 +228,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     gv = gamma.values
 
     def bwd(g, sx, sg, sb):
-        _accum_owned(sg, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
-        _accum_owned(sb, g.sum(axis=tuple(range(g.ndim - 1))))
+        _accum(sg, (g * xhat).sum(axis=tuple(range(g.ndim - 1))))
+        _accum(sb, g.sum(axis=tuple(range(g.ndim - 1))))
         gx = g * gv
-        _accum_owned(sx, (gx - mean(gx) - xhat * mean(gx * xhat)) * inv)
+        _accum(sx, (gx - mean(gx) - xhat * mean(gx * xhat)) * inv)
     y = xhat * gv
     y += beta.values
     return _record(tape, Tensor(y), bwd, x, gamma, beta)
@@ -270,7 +263,7 @@ def split_rows(x: Tensor, ends, tape: Tape | None = None, axis: int = -2) -> lis
             grads = [np.zeros(s.shape, s.dtype) if s.grad is None else s.grad for s in slots]
             for s in slots:
                 s.grad = None
-            _accum_owned(slot, np.concatenate(grads, axis=axis))
+            _accum(slot, np.concatenate(grads, axis=axis))
         tape.record(bwd)
     return parts
 
@@ -322,7 +315,7 @@ def dropout(x: Tensor, p: float, training: bool,
 
     def scaled(v, out=None):  # bitwise v * ((r >= p) / (1 - p)) into `out`, with a bool mask
         return np.multiply(v := np.multiply(v, s, out=out), keep, out=v)
-    return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum_owned(sx, scaled(g, g)), x)
+    return _record(tape, Tensor(scaled(x.values)), lambda g, sx: _accum(sx, scaled(g, g)), x)
 
 
 def cross_entropy_logits(logits: Tensor, targets, ignore_id: int = -1,
@@ -407,7 +400,7 @@ def linear_cross_entropy(h: Tensor, w: Tensor, b: Tensor, targets,
     def bwd(g, sh, sw, sb):
         for grad, slot in ((dh, sh), (dw, sw), (db, sb)):
             grad *= float(g)
-            _accum_owned(slot, grad)
+            _accum(slot, grad)
     return _record(tape, Tensor(total), bwd, h, w, b)
 
 

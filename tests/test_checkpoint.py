@@ -86,6 +86,18 @@ def test_failed_save_keeps_the_old_file(tmp_path, setup, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_header_value_is_an_error_before_any_write(tmp_path, setup, value):
+    params, config, vocab = setup
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, config, vocab, run_config={"seed": 1})
+    old = path.read_bytes()
+    with pytest.raises(ValueError, match="JSON compliant"):
+        save_checkpoint(path, params, config, vocab, metadata={"best_valid_loss": value})
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+
 def test_save_load_save_byte_identical(tmp_path, setup):
     params, config, vocab = setup
     p1 = tmp_path / "a.ckpt"
@@ -161,6 +173,13 @@ def test_inconsistent_header_rejected(tiny_checkpoint, edit, match):
     rewrite_header(tiny_checkpoint, edit)
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(tiny_checkpoint)
+
+
+def test_header_infinity_written_by_earlier_saves_loads(tiny_checkpoint):
+    rewrite_header(tiny_checkpoint, lambda h: h["metadata"].update(
+        best_epoch=-1, best_valid_loss=float("inf")))
+    assert b'"best_valid_loss": Infinity' in tiny_checkpoint.read_bytes()
+    assert load_checkpoint(tiny_checkpoint)[4] == {"best_epoch": -1, "best_valid_loss": np.inf}
 
 
 def test_header_nested_too_deep_rejected(tiny_checkpoint):

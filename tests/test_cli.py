@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import struct
 import tempfile
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from trrgen import cli, corpus, evaluation, generation
-from trrgen.checkpoint import load_checkpoint, save_checkpoint
+from trrgen.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from trrgen.cli import main
 from trrgen.corpus import AdConfig, PreprocessConfig, ReviewRecord
 from trrgen.generation import DecodeConfig
@@ -173,6 +174,16 @@ def session_checkpoint(tmp_path_factory):
 
 
 class TestTrainGenerateEvaluate:
+    def test_checkpoint_header_is_strict_json(self, session_checkpoint):
+        """A run without `--valid` stores `null` as its best validation loss,
+        not `Infinity`, which strict JSON parsers reject."""
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+        raw = session_checkpoint.read_bytes()
+        (hlen,) = struct.unpack("<Q", raw[len(MAGIC) + 4:len(MAGIC) + 12])
+        header = json.loads(raw[len(MAGIC) + 12:len(MAGIC) + 12 + hlen], parse_constant=not_json)
+        assert header["metadata"] == {"best_epoch": -1, "best_valid_loss": None}
+
     def test_train_writes_log_and_checkpoint(self, tmp_path, corpus_file, capsys):
         ckpt, log = train_tiny(tmp_path, corpus_file)
         capsys.readouterr()
@@ -793,7 +804,9 @@ class TestBadSettings:
     @pytest.mark.parametrize("key,value", [
         ("d_model", '"16"'), ("epochs", '"2"'), ("lr", '"0.01"'), ("dropout", "null"),
         ("d_model", "16.0"), ("d_model", "true"), ("lowercase", '"no"'),
-        ("lr", "1e999"), ("lr", "1" + "0" * 400)])
+        ("lr", "1e999"), ("lr", "1" + "0" * 400),
+        # settings train does not read, which its checkpoint header still stores
+        ("train_ratio", "NaN"), ("length_penalty", "-Infinity")])
     def test_bad_config_value(self, train_args, tmp_path, capsys, key, value):
         path = tmp_path / "run.json"
         path.write_text(f'{{"{key}": {value}}}')
@@ -1120,7 +1133,9 @@ class TestTrainingSettingsFirst:
 
     @pytest.mark.parametrize("flags,words", [
         (["--decode-max-len", "500"], ["error: decode max_len 500 exceeds max_tgt_len - 1 = 119"]),
-        (["--train-ratio", "0.3"], ["error: split ratios must sum to 1, got (0.3, 0.1, 0.1)"])])
+        (["--train-ratio", "0.3"], ["error: split ratios must sum to 1, got (0.3, 0.1, 0.1)"]),
+        (["--train-ratio", "-0.5", "--valid-ratio", "0.3", "--test-ratio", "1.2"],
+         ["error: split ratios must each lie in [0, 1], got (-0.5, 0.3, 1.2)"])])
     def test_ablate_decode_and_split_settings_with_missing_data(self, tmp_path, capsys, flags,
                                                                words):
         """A decode length or split ratio that `ablate` cannot use ends the

@@ -450,6 +450,8 @@ class TestSplitCorpus:
             C.split_corpus(self.make(10), 0, (0.5, 0.4, 0.2))
         with pytest.raises(C.CorpusError, match="must sum to 1"):  # NaN compares false
             C.split_corpus(self.make(10), 0, (float("nan"), 0.1, 0.1))
+        with pytest.raises(C.CorpusError, match=r"must each lie in \[0, 1\]"):
+            C.split_corpus(self.make(100), 0, (-0.5, 0.3, 1.2))
         with pytest.raises(C.CorpusError):
             C.split_corpus(self.make(3), 0, (0.9, 0.05, 0.05))
 

@@ -7,9 +7,11 @@ from trrgen.tensor import (_CE_COLS, _CE_ROWS, Tensor, Tape, matmul, add, scale,
                            layer_norm, concat_rows, split_rows, split_heads, merge_heads,
                            embedding_lookup,
                            dropout, cross_entropy_logits, linear_cross_entropy, grad_check)
+from trrgen.model import FUSION_VARIANTS, forward_training, init_parameters
 from trrgen.optim import AdamState, adam_step, zero_grads
 
 from scalar_loss import sum_all
+import record_golden
 import training_reference
 
 
@@ -467,6 +469,89 @@ class TestBackward:
         gx1, gw1 = run()
         gx2, gw2 = run()
         assert np.array_equal(gx1, gx2) and np.array_equal(gw1, gw2)
+
+
+class TestAccumulation:
+    """`_accum` hands each rule's array over as the gradient. Each slot must
+    still end up with an array of its own and the gradients of the copying
+    rule in `tests/training_reference.py`."""
+
+    REUSED = {
+        "add(x, x)": lambda x, tape: add(x, x, tape),
+        "concat_rows([x, x])": lambda x, tape: concat_rows([x, x], tape),
+        # backward runs relu's rule, which writes its `g` in place, before scale's
+        "add(scale(x), relu(x))": lambda x, tape: add(scale(x, -0.5, tape), relu(x, tape), tape),
+    }
+
+    @pytest.mark.parametrize("graph", REUSED)
+    def test_a_tensor_used_twice(self, graph):
+        x, w = rand((3, 4), 1), rand((4, 5), 2)
+
+        def build(tape):
+            h = self.REUSED[graph](x, tape)
+            targets = np.arange(h.values.shape[0]) % 5
+            return cross_entropy_logits(matmul(h, w, tape), targets, tape=tape)
+        assert grad_check(build, [x, w]) <= 1e-6
+        assert not np.shares_memory(x.grad, w.grad)
+
+    @staticmethod
+    def every_primitive(leaves, tape):
+        """A loss through every primitive, with a tensor used twice, an
+        unused `split_rows` block, repeated embedding ids and a constant
+        mask."""
+        table, w, gamma, beta, wo, bo = leaves
+        x = embedding_lookup(table, [3, 1, 3, 0, 2, 1, 3], tape)
+        first, _, last = split_rows(x, [2, 3], tape)
+        h = concat_rows([last, first, last], tape)
+        mask = np.where(np.tri(10, 10, 3) > 0, 0.0, -np.inf)
+        q = split_heads(matmul(h, w, tape), 2, tape)
+        att = softmax(add(scale(matmul(q, split_heads(h, 2, tape, keys=True), tape), 0.7, tape),
+                          mask, tape), tape)
+        z = merge_heads(matmul(att, split_heads(h, 2, tape), tape), tape)
+        z = layer_norm(add(h, relu(z, tape), tape), gamma, beta, tape)
+        z = dropout(z, 0.25, True, tape, np.random.default_rng(5))
+        targets = np.arange(10) % 6
+        loss = cross_entropy_logits(add(matmul(z, wo, tape), bo, tape), targets, tape=tape)
+        return add(loss, scale(linear_cross_entropy(z, wo, bo, targets, tape), 0.1, tape), tape)
+
+    @staticmethod
+    def grads(build, leaves):
+        for t in leaves:
+            t.zero_grad()
+        tape = Tape()
+        tape.backward(build(tape))
+        return [t.grad.copy() for t in leaves]
+
+    def test_every_primitive_matches_the_copying_rule(self, monkeypatch):
+        import trrgen.tensor as T
+        leaves = [rand(shape, seed) for seed, shape in
+                  enumerate([(5, 4), (4, 4), (4,), (4,), (4, 6), (6,)])]
+
+        def build(tape):
+            return self.every_primitive(leaves, tape)
+        assert grad_check(build, leaves) <= 1e-6
+        for i, a in enumerate(leaves):
+            assert not any(np.shares_memory(a.grad, b.grad) for b in leaves[i + 1:])
+        owned = self.grads(build, leaves)
+        monkeypatch.setattr(T, "_accum", training_reference.copying_accum)
+        for got, want in zip(owned, self.grads(build, leaves)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", FUSION_VARIANTS)
+    def test_packed_training_step_matches_the_copying_rule(self, monkeypatch, variant):
+        """One packed `forward_training` step of a 2-layer model at dropout
+        0.1, as `tests/golden.json` records it."""
+        import trrgen.tensor as T
+        _, encoded, config = record_golden.setup(variant)
+        params = init_parameters(config)
+        leaves = params.all_tensors()
+
+        def build(tape):
+            return forward_training(encoded, params, config, tape, np.random.default_rng(0))
+        owned = self.grads(build, leaves)
+        monkeypatch.setattr(T, "_accum", training_reference.copying_accum)
+        for got, want in zip(owned, self.grads(build, leaves)):
+            assert np.array_equal(got, want)
 
 
 class TestGradCheck:

@@ -12,6 +12,11 @@ looked up on the module at call time, so a test can swap in
 
 `adam_step` is the allocating Adam update; the library's in-place one must
 be bitwise equal to it.
+
+`copying_accum` is the copying gradient-accumulation rule: a slot's first
+gradient is added into a zero-filled array of its own, so no gradient is an
+array that a backward rule made. Patched in as `tensor._accum`, it must give
+the library's gradients exactly.
 """
 
 import numpy as np
@@ -82,3 +87,9 @@ def adam_step(params, state):
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
         p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+def copying_accum(s, g):
+    if s.grad is None:
+        s.grad = np.zeros(s.shape, s.dtype)
+    s.grad += g
