@@ -3,9 +3,10 @@ generate, evaluate, ablate.
 
 Configuration is a flat JSON file that may hold any setting; a command takes
 a same-named flag (flags win) only for the settings it reads (`ACCEPTS`),
-and TRRGEN_SEED overrides the seed. Text is normalized before it is encoded,
-as the checkpoint's own run did for `generate` and `evaluate`. Machine
-outputs are UTF-8 JSON-Lines; a failure exits 1 with one "error:" line.
+and TRRGEN_SEED overrides the seed. `main` loads the settings, and sets the
+floating-point policy, for every command. Text is normalized before it is
+encoded, as the checkpoint's own run did for `generate` and `evaluate`.
+Machine outputs are UTF-8 JSON-Lines; a failure exits 1 with one "error:" line.
 """
 
 from __future__ import annotations
@@ -168,8 +169,7 @@ def _training_settings(cfg: dict, **model):
 # subcommands
 
 
-def cmd_preprocess(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_preprocess(args, cfg: dict) -> int:
     pre_cfg, ad_cfg = build(C.PreprocessConfig, cfg), build(C.AdConfig, cfg)
     records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
     if args.blocklist:
@@ -179,8 +179,7 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def cmd_report_ads(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_report_ads(args, cfg: dict) -> int:
     pre_cfg, ad_cfg = build(C.PreprocessConfig, cfg), build(C.AdConfig, cfg)
     records = C.normalize_corpus(C.load_corpus(args.input, args.format), pre_cfg)
     text = C.ad_report(records, ad_cfg).to_tsv()
@@ -189,8 +188,7 @@ def cmd_report_ads(args) -> int:
     return 0
 
 
-def cmd_build_vocab(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_build_vocab(args, cfg: dict) -> int:
     records = C.load_corpus(args.input, args.format)
     if not records:
         raise CliError(f"{args.input}: empty corpus")
@@ -218,9 +216,9 @@ def _encode_all(records, vocab, pre_cfg, path):
             for n, r in enumerate(records, start=1)]
 
 
-def _load_model(args):
+def _load_model(args, cfg: dict):
     """`generate`'s and `evaluate`'s decode settings, and their checkpoint's model and encoding."""
-    decode = build(DecodeConfig, _config_from_args(args))
+    decode = build(DecodeConfig, cfg)
     params, config, vocab, run_config, _ = load_checkpoint(args.checkpoint)
     try:  # a setting the run_config lacks (a library caller's) takes its default
         pre_cfg = C.PreprocessConfig(**_typed(args.checkpoint, "run_config", run_config,
@@ -230,8 +228,7 @@ def _load_model(args):
     return decode, params, config, vocab, pre_cfg
 
 
-def cmd_train(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_train(args, cfg: dict) -> int:
     pre_cfg, opts, model_cfg = _training_settings(cfg)
     folder = os.path.dirname(args.output) or "."  # checked now, not after the last epoch
     if os.path.isdir(args.output) or not (os.path.isdir(folder)
@@ -249,9 +246,7 @@ def cmd_train(args) -> int:
             print(line)
             log_fh.write(line + "\n")
 
-        # a diverging run is reported by forward_training's finite-loss check
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train_model(train_recs, valid_recs, model_cfg, opts, log_fn)
+        result = train_model(train_recs, valid_recs, model_cfg, opts, log_fn)
     save_checkpoint(args.output, result.params, model_cfg, vocab, run_config=cfg,
                     metadata={"best_epoch": result.best_epoch, "best_valid_loss":
                               None if result.best_epoch < 0 else result.best_valid_loss})
@@ -259,13 +254,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, cfg: dict) -> int:
     flag_review = [args.review, args.rating, args.category]
     if args.batch and flag_review != [None] * 3:
         raise CliError("generate takes --batch or --review, --rating and --category, not both")
     if not args.batch and None in flag_review:
         raise CliError("generate requires --review, --rating and --category (or --batch)")
-    decode, params, config, vocab, pre_cfg = _load_model(args)
+    decode, params, config, vocab, pre_cfg = _load_model(args, cfg)
     if args.batch:
         objs = ((where, C.parse_json(line, where)) for where, line in C.read_lines(args.batch))
     else:
@@ -284,8 +279,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    decode, params, config, vocab, pre_cfg = _load_model(args)
+def cmd_evaluate(args, cfg: dict) -> int:
+    decode, params, config, vocab, pre_cfg = _load_model(args, cfg)
     records = C.load_corpus(args.test)
     report = evaluate_model(params, config, vocab, _encode_all(records, vocab, pre_cfg, args.test),
                             [C.normalize_text(r.response_text, pre_cfg) for r in records],
@@ -294,8 +289,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = _config_from_args(args)
+def cmd_ablate(args, cfg: dict) -> int:
     variants = list(FUSION_VARIANTS) if args.variants is None else args.variants.split(",")
     if not all(variants) or len(set(variants)) < len(variants):
         raise CliError(f"--variants must name distinct variants, got {args.variants!r}")
@@ -313,8 +307,7 @@ def cmd_ablate(args) -> int:
     reports = []
     for config in configs:
         config = dataclasses.replace(config, vocab_size=len(vocab))
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = train_model(train_e, valid_e, config, opts)
+        result = train_model(train_e, valid_e, config, opts)
         reports.append(evaluate_model(result.params, config, vocab, test_e, test_resp, decode,
                                       label=config.fusion_variant))
         print(reports[-1].to_json())
@@ -385,14 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# trrgen's own errors are ValueErrors; FloatingPointError is a diverged training run
+# trrgen's own errors are ValueErrors; FloatingPointError is a loss or logits gone non-finite
 REPORTED_ERRORS = (ValueError, OSError, FloatingPointError)
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args, _config_from_args(args))
     except REPORTED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -45,6 +45,8 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
 def modified_precision(candidates: list[list[str]], references: list[list[str]],
                        n: int) -> float:
     """Corpus-level clipped n-gram precision against one reference per candidate."""
+    if n < 1:
+        raise EvaluationError(f"n-gram order must be at least 1, got {n!r}")
     if len(candidates) != len(references):
         raise EvaluationError("candidate/reference count mismatch")
     if not candidates:
@@ -75,10 +77,8 @@ def corpus_bleu(candidates: list[list[str]], references: list[list[str]],
     reported x100. Any p_n = 0 gives BLEU 0 unless `smooth` adds one
     pseudo-match per order (diagnostics only).
     """
-    if len(candidates) != len(references):
-        raise EvaluationError("candidate/reference count mismatch")
-    if not candidates:
-        raise EvaluationError("empty corpus")
+    if max_n < 1:
+        raise EvaluationError(f"n-gram order must be at least 1, got {max_n!r}")
     precisions = [modified_precision(candidates, references, n)
                   for n in range(1, max_n + 1)]
     c_len = sum(len(c) for c in candidates)

@@ -517,9 +517,13 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
     """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
     at position `cache.length`: the last row of `decoder_forward` over each
     hypothesis's prefix and its review, computed for that one position
-    against the cache."""
+    against the cache. A NaN or +inf logit is a FloatingPointError; a -inf
+    one bans its id."""
     h = _decode_positions(np.asarray(tokens)[:, None], cache, params, config)
-    return _logits(h, params).values[:, 0]
+    logits = _logits(h, params).values[:, 0]
+    if not np.isfinite(np.maximum.reduce(logits, axis=1)).all():  # a row's max is NaN if any is
+        raise FloatingPointError("non-finite decoder logits")
+    return logits
 
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,

@@ -385,6 +385,33 @@ class TestTrainGenerateEvaluate:
             f"error: {bad}: tensor out_proj holds a NaN or infinite value"]
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr gets only the error line
+    @pytest.mark.parametrize("args", [
+        ["generate", "--review", "love it", "--rating", 5, "--category", "GAME"],
+        ["generate", "--batch", "batch.jsonl"],
+        ["generate", "--review", "love it", "--rating", 5, "--category", "GAME",
+         "--strategy", "beam", "--beam-width", 3],
+        ["evaluate", "--test", "corpus.jsonl"]])
+    def test_overflowing_checkpoint_is_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                      args):
+        """A one-batch run at --lr 1e300 ends with finite weights as large as
+        1e300, which the checkpoint loader accepts; their logits overflow,
+        and decoding used to answer ⟨pad⟩ tokens (or nothing) and exit 0."""
+        monkeypatch.chdir(tmp_path)
+        write_jsonl("corpus.jsonl", [ReviewRecord("a", "TOOLS", 4, "love this app", "thanks"),
+                                     ReviewRecord("b", "GAME", 1, "it crashes", "sorry")])
+        (tmp_path / "batch.jsonl").write_text(
+            '{"review": "love it", "rating": 5, "category": "GAME"}\n')
+        assert run(["build-vocab", "--input", "corpus.jsonl", "--output", "vocab.json",
+                    "--min-freq", 1]) == 0
+        assert run(["train", "--train", "corpus.jsonl", "--vocab", "vocab.json",
+                    "--output", "big.ckpt", "--epochs", 1, "--d-model", 8, "--n-heads", 2,
+                    "--d-ff", 16, "--lr", "1e300"]) == 0
+        assert np.max(load_checkpoint("big.ckpt")[0].out_proj.values) > 1e299
+        capsys.readouterr()
+        code = run([*args, "--checkpoint", "big.ckpt"])
+        assert_one_error_line(code, capsys, "error: non-finite decoder logits")
+
     @pytest.mark.parametrize("edit", [lambda v: 5, lambda v: dict.fromkeys(v, 0),
                                       lambda v: v[:-1] + [7], lambda v: v[:-1] + [v[-1:]]])
     def test_train_vocab_not_a_list_of_strings_is_one_error_line(self, session_checkpoint,

@@ -44,6 +44,11 @@ class TestModifiedPrecision:
         with pytest.raises(EvaluationError):
             modified_precision([["a"]], [], 1)
 
+    def test_order_below_one_rejected(self):
+        """Order 0 used to count empty n-grams, here a precision of 1.0."""
+        with pytest.raises(EvaluationError, match="^n-gram order must be at least 1, got 0$"):
+            modified_precision([["a"]], [["a"]], 0)
+
 
 class TestBrevityPenalty:
     def test_longer_candidate(self):
@@ -74,6 +79,12 @@ class TestCorpusBleu:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EvaluationError):
             corpus_bleu([], [])
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_order_below_one_rejected(self, max_n):
+        """Order 0 used to divide by zero, and -1 to score 100 over no precision."""
+        with pytest.raises(EvaluationError, match=f"^n-gram order must be at least 1, got {max_n}"):
+            corpus_bleu([["a"]], [["a"]], max_n=max_n)
 
     def test_matches_oracle_on_toy_corpus(self):
         cands = [["the", "cat", "sat"], ["a", "dog", "ran", "far"],

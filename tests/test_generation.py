@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from trrgen import generation, model as M
 from trrgen.corpus import (EncodedRecord, Vocabulary, build_vocabulary,
                            ReviewRecord, PreprocessConfig, encode_record,
-                           tokenize, SOS_ID, EOS_ID)
+                           tokenize, PAD_ID, SOS_ID, EOS_ID)
 from trrgen.generation import (DecodeConfig, beam_decode, decode_group, generate, generate_all,
                                postprocess, _top_candidates)
 
@@ -151,6 +151,13 @@ def tied(seed):
     yield "tied_levels", params, config
 
 
+def banned(seed):
+    """-inf logits at ⟨pad⟩, ⟨sos⟩ and the rating and category ids of `enc_for`."""
+    for label, params, config in seeded_and_eos_boosted(seed):
+        params.out_bias.values[[PAD_ID, SOS_ID, 4, 9]] = -np.inf
+        yield label, params, config
+
+
 class TestMatchesReference:
     """The greedy and beam loops against the loop-based decoders of decode_reference."""
 
@@ -200,6 +207,12 @@ class TestMatchesReference:
                 want = [ref.beam_decode(params, config, enc, decode) for enc in encs]
                 assert [beam_decode(params, config, enc, decode) for enc in encs] == want, label
                 assert generate_all(records, params, config, decode) == want, label
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(10))
+    def test_token_identical_with_banned_ids(self, seed):
+        """A -inf logit bans its id and is no error."""
+        self.check(seed, banned(seed))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_teacher_forced_score(self, seed):

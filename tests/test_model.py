@@ -820,6 +820,21 @@ class TestDecoderStep:
         with pytest.raises(M.ConfigError, match="max_tgt_len"):
             M.decoder_step([p[-1] for p in prefixes], cache, params, config)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # set directly, nothing overflows
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_logit_raises(self, value):
+        """A NaN or +inf logit at one id is an error, not a token: argmax
+        would pick a NaN's id, and a log-softmax over +inf is NaN."""
+        config = M.ModelConfig(vocab_size=20, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                               max_tgt_len=10, dropout=0.0)
+        params = M.init_parameters(config)
+        params.out_bias.values[7] = value
+        encs = [M.encode_review(EncodedRecord(src, [2, 3], 4, 9), params, config)
+                for src in ([10], [11, 12])]
+        cache = M.init_group_cache(encs, params, config)
+        with pytest.raises(FloatingPointError, match="^non-finite decoder logits$"):
+            M.decoder_step(np.full(2, SOS_ID), cache, params, config)
+
 
 class TestGroupCache:
     """Key masks only for padded groups, kept row for row through `select`."""
