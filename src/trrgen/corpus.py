@@ -38,6 +38,13 @@ class CorpusError(ValueError):
     pass
 
 
+def check_fields(settings, error, rules):
+    """Raise `error` for the first `(name, ok, rule)` not `ok`, naming the value in `settings`."""
+    for name, ok, rule in rules:
+        if not ok:
+            raise error(f"{name} must be {rule}, got {getattr(settings, name)!r}")
+
+
 @dataclass
 class ReviewRecord:
     """One (app, category, rating, review, response) tuple."""
@@ -68,8 +75,9 @@ class PreprocessConfig:
     max_response_tokens: int = 120
 
     def __post_init__(self):
-        if self.max_review_tokens < 1 or self.max_response_tokens < 2:
-            raise CorpusError("max_review_tokens must be >= 1 and max_response_tokens >= 2")
+        check_fields(self, CorpusError, [
+            ("max_review_tokens", self.max_review_tokens >= 1, ">= 1"),
+            ("max_response_tokens", self.max_response_tokens >= 2, ">= 2")])
 
 
 @dataclass
@@ -80,10 +88,9 @@ class AdConfig:
     ad_flag_threshold: float = 0.005
 
     def __post_init__(self):
-        if self.ad_ngram_n < 1:
-            raise CorpusError("ad_ngram_n must be >= 1")
-        if not 0.0 < self.ad_flag_threshold <= 1.0:
-            raise CorpusError("ad_flag_threshold must be in (0, 1]")
+        check_fields(self, CorpusError, [
+            ("ad_ngram_n", self.ad_ngram_n >= 1, ">= 1"),
+            ("ad_flag_threshold", 0.0 < self.ad_flag_threshold <= 1.0, "in (0, 1]")])
 
 
 @dataclass

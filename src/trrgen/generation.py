@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord
+from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord, check_fields
 from .model import (ModelConfig, ConfigError, Parameters, encode_review, init_group_cache,
                     decoder_step)
 from .tensor import Tensor
@@ -43,15 +43,11 @@ class DecodeConfig:
     length_penalty: float = 0.0  # in [0, 10]; ranks by summed logprob / length ** penalty
 
     def __post_init__(self):
-        if self.strategy not in ("greedy", "beam"):
-            raise ValueError(f"unknown decode strategy {self.strategy!r}")
-        if not 1 <= self.beam_width <= MAX_BEAM_WIDTH:
-            raise ValueError(f"beam_width must be in [1, {MAX_BEAM_WIDTH}], "
-                             f"got {self.beam_width!r}")
-        if self.max_len is not None and self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
-        if not 0 <= self.length_penalty <= 10:
-            raise ValueError(f"length_penalty must be in [0, 10], got {self.length_penalty!r}")
+        check_fields(self, ValueError, [
+            ("strategy", self.strategy in ("greedy", "beam"), "greedy or beam"),
+            ("beam_width", 1 <= self.beam_width <= MAX_BEAM_WIDTH, f"in [1, {MAX_BEAM_WIDTH}]"),
+            ("max_len", self.max_len is None or self.max_len >= 1, ">= 1"),
+            ("length_penalty", 0 <= self.length_penalty <= 10, "in [0, 10]")])
 
     @property
     def width(self) -> int:

@@ -33,7 +33,7 @@ from .tensor import (Tensor, Tape, matmul, add, scale, relu, softmax, layer_norm
                      dropout, linear_cross_entropy)
 # Not called here; the benchmark's tracer hooks it under this module's name.
 from .tensor import cross_entropy_logits  # noqa: F401
-from .corpus import EncodedRecord
+from .corpus import EncodedRecord, check_fields
 
 # Per variant, the features added to every token row (in add order) and those
 # prepended to the review as rows of their own (in input order). With w_i and
@@ -67,20 +67,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d_model < 2 or self.d_model % 2 != 0:
-            raise ConfigError("d_model must be even and >= 2 for sinusoidal positions")
-        if self.n_heads < 1 or self.d_model % self.n_heads != 0:
-            raise ConfigError("n_heads must be >= 1 and divide d_model")
-        if self.n_layers < 1:
-            raise ConfigError("n_layers must be >= 1")
-        if self.d_ff < 1:
-            raise ConfigError(f"d_ff must be >= 1, got {self.d_ff}")
-        if not 0.0 <= self.dropout < 1.0:  # NaN fails too
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
-        if self.max_tgt_len < 2:
-            raise ConfigError("max_tgt_len must be >= 2")
-        if self.fusion_variant not in FUSION:
-            raise ConfigError(f"unknown fusion_variant {self.fusion_variant!r}")
+        d, heads = self.d_model, self.n_heads
+        check_fields(self, ConfigError, [
+            ("d_model", d >= 2 and d % 2 == 0, "even and >= 2 for sinusoidal positions"),
+            ("n_heads", heads >= 1 and d % heads == 0, ">= 1 and divide d_model"),
+            ("n_layers", self.n_layers >= 1, ">= 1"),
+            ("d_ff", self.d_ff >= 1, ">= 1"),
+            ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),  # NaN fails too
+            ("max_tgt_len", self.max_tgt_len >= 2, ">= 2"),
+            ("fusion_variant", self.fusion_variant in FUSION, f"one of {', '.join(FUSION)}")])
 
     @property
     def d_k(self):
@@ -300,8 +295,8 @@ def _embed_rows(src_ids: np.ndarray, lengths: np.ndarray, rating_ids: np.ndarray
                 tape: Tape | None) -> Tensor:
     """Packed encoder inputs [Σ fused rows, d_model] of reviews whose token ids
     lie end to end in `src_ids`, `lengths[j]` of them for review j, fused as
-    `FUSION[variant]` sets out: every token row at once, then one gather that
-    puts each review's prepended feature rows ahead of its tokens. Prepended
+    `FUSION[variant]` sets out: every token row at once, then each review's
+    prepended feature rows cut and joined in ahead of its tokens. Prepended
     rows carry no positional term."""
     if variant not in FUSION:
         raise ConfigError(f"unknown fusion_variant {variant!r}")
@@ -318,11 +313,10 @@ def _embed_rows(src_ids: np.ndarray, lengths: np.ndarray, rating_ids: np.ndarray
     if not prepended:
         return x
     features = np.stack([ids[f] for f in prepended], axis=1).reshape(-1)  # review by review
-    x = concat_rows([embedding_lookup(params.embedding, features, tape), x], tape)
-    order = features.size + np.arange(len(src_ids))  # token rows follow the feature rows
-    token_starts = np.cumsum(lengths) - lengths
-    order = np.insert(order, np.repeat(token_starts, len(prepended)), np.arange(features.size))
-    return embedding_lookup(x, order, tape)
+    feature_rows = split_rows(embedding_lookup(params.embedding, features, tape),
+                              len(prepended) * np.arange(1, len(lengths)), tape)
+    token_rows = split_rows(x, np.cumsum(lengths)[:-1], tape)
+    return concat_rows([rows for pair in zip(feature_rows, token_rows) for rows in pair], tape)
 
 
 def embed_review(src_ids, rating_id: int, category_id: int, variant: str,

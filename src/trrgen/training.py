@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import EncodedRecord
+from .corpus import EncodedRecord, check_fields
 from .model import ModelConfig, Parameters, init_parameters, forward_training
 from .optim import AdamState, adam_step, zero_grads
 from .tensor import Tape
@@ -29,18 +29,16 @@ class TrainOptions:
     stop_loss: float = 0.0   # stop early once training loss falls below
 
     def __post_init__(self):
-        rules = [("epochs", self.epochs >= 1, ">= 1"),
-                 ("batch_size", self.batch_size >= 1, ">= 1"),
-                 ("validate_every", self.validate_every >= 1, ">= 1"),
-                 ("patience", self.patience >= 0, ">= 0"),
-                 ("seed", self.seed >= 0, ">= 0"),
-                 ("lr", 0 < self.lr <= sys.float_info.max, "finite and > 0"),
-                 ("adam_eps", 0 < self.adam_eps <= sys.float_info.max, "finite and > 0"),
-                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")]
-        for name, ok, rule in rules:
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_fields(self, ValueError, [
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("validate_every", self.validate_every >= 1, ">= 1"),
+            ("patience", self.patience >= 0, ">= 0"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("lr", 0 < self.lr <= sys.float_info.max, "finite and > 0"),
+            ("adam_eps", 0 < self.adam_eps <= sys.float_info.max, "finite and > 0"),
+            ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+            ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")])
 
 
 @dataclass
@@ -67,8 +65,8 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
                 config: ModelConfig, opts: TrainOptions,
                 log_fn=None) -> TrainResult:
     """Seed-deterministic training with early stopping. Returns the parameters
-    of the validated epoch with the lowest validation loss, or the final ones
-    when no epoch was validated.
+    of the validated epoch with the lowest validation loss, or the final ones,
+    checked for a finite loss on the last batch, when no epoch was validated.
 
     Emits one log dict per epoch (epoch, train_loss, valid_loss) through
     `log_fn` and in the returned result.
@@ -116,4 +114,6 @@ def train_model(train: list[EncodedRecord], valid: list[EncodedRecord],
             log_fn(entry)
         if stale > opts.patience or train_loss < opts.stop_loss:
             break
+    if result.best_epoch < 0:  # unvalidated parameters must still give a finite loss
+        forward_training(batch, params, config)
     return result

@@ -394,23 +394,31 @@ class TestTrainGenerateEvaluate:
         ["evaluate", "--test", "corpus.jsonl"]])
     def test_overflowing_checkpoint_is_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                       args):
-        """A one-batch run at --lr 1e300 ends with finite weights as large as
-        1e300, which the checkpoint loader accepts; their logits overflow,
-        and decoding used to answer ⟨pad⟩ tokens (or nothing) and exit 0."""
-        monkeypatch.chdir(tmp_path)
-        write_jsonl("corpus.jsonl", [ReviewRecord("a", "TOOLS", 4, "love this app", "thanks"),
-                                     ReviewRecord("b", "GAME", 1, "it crashes", "sorry")])
+        """Finite weights as large as 1e308, which the checkpoint loader
+        accepts, overflow the logits; decoding used to answer ⟨pad⟩ tokens
+        (or nothing) and exit 0."""
+        assert train_one_batch(tmp_path, monkeypatch) == 0
         (tmp_path / "batch.jsonl").write_text(
             '{"review": "love it", "rating": 5, "category": "GAME"}\n')
-        assert run(["build-vocab", "--input", "corpus.jsonl", "--output", "vocab.json",
-                    "--min-freq", 1]) == 0
-        assert run(["train", "--train", "corpus.jsonl", "--vocab", "vocab.json",
-                    "--output", "big.ckpt", "--epochs", 1, "--d-model", 8, "--n-heads", 2,
-                    "--d-ff", 16, "--lr", "1e300"]) == 0
+        params, config, vocab, run_config, metadata = load_checkpoint("model.ckpt")
+        params.out_proj.values[:] = 1e308
+        save_checkpoint("big.ckpt", params, config, vocab, run_config, metadata)
         assert np.max(load_checkpoint("big.ckpt")[0].out_proj.values) > 1e299
         capsys.readouterr()
         code = run([*args, "--checkpoint", "big.ckpt"])
         assert_one_error_line(code, capsys, "error: non-finite decoder logits")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr gets only the error line
+    def test_training_into_overflow_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """One Adam step at --lr 1e300 leaves weights as large as 1e300. With
+        no --valid nothing ran on them, and `train` used to save them and
+        exit 0, so only a later `generate` failed."""
+        code = train_one_batch(tmp_path, monkeypatch, "--lr", "1e300")
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == ["error: non-finite training loss"]
+        assert "saved checkpoint" not in captured.out
+        assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("edit", [lambda v: 5, lambda v: dict.fromkeys(v, 0),
                                       lambda v: v[:-1] + [7], lambda v: v[:-1] + [v[-1:]]])
@@ -518,6 +526,19 @@ def test_help_still_exits_zero(capsys):
         run(["generate", "--help"])
     assert exc.value.code == 0
     assert "--checkpoint" in capsys.readouterr().out
+
+
+def train_one_batch(tmp_path, monkeypatch, *flags):
+    """`train` on a two-record corpus in `tmp_path`, one epoch of one batch
+    without --valid, writing model.ckpt; returns its exit code."""
+    monkeypatch.chdir(tmp_path)
+    write_jsonl("corpus.jsonl", [ReviewRecord("a", "TOOLS", 4, "love this app", "thanks"),
+                                 ReviewRecord("b", "GAME", 1, "it crashes", "sorry")])
+    assert run(["build-vocab", "--input", "corpus.jsonl", "--output", "vocab.json",
+                "--min-freq", 1]) == 0
+    return run(["train", "--train", "corpus.jsonl", "--vocab", "vocab.json",
+                "--output", "model.ckpt", "--epochs", 1, "--d-model", 8, "--n-heads", 2,
+                "--d-ff", 16, *flags])
 
 
 def assert_one_error_line(code, capsys, *words):
@@ -663,8 +684,7 @@ class TestEncodingContract:
         (["lowercase"], "run_config must be a flat JSON object"),
         ({"max_review_tokens": "3"}, "max_review_tokens must be an integer, got '3'"),
         ({"max_review_tokens": 0}, "max_review_tokens must be >= 1"),
-        ({"max_response_tokens": 1},
-         "max_review_tokens must be >= 1 and max_response_tokens >= 2"),
+        ({"max_response_tokens": 1}, "max_response_tokens must be >= 2, got 1"),
         ({"lowercase": 1, "max_review_tokens": 3}, "lowercase must be true or false, got 1")])
     def test_bad_stored_setting_is_one_error_line(self, session_checkpoint, corpus_file,
                                                   tmp_path, capsys, run_config, words):

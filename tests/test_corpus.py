@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trrgen import corpus as C
+from trrgen.generation import DecodeConfig
+from trrgen.model import ConfigError, ModelConfig
+from trrgen.training import TrainOptions
 
 
 @pytest.fixture
@@ -18,6 +21,55 @@ def cfg():
 @pytest.fixture
 def ad_cfg():
     return C.AdConfig()
+
+
+NAN = float("nan")
+VARIANTS = "vanilla, rating_only, category_only, trrgen_concat, trrgen_sum, trrgen_order"
+# Per settings class: its error type, the other fields it needs, and per
+# checked field its rule and values just outside the rule (NaN for a float).
+SETTINGS_RULES = [
+    (ModelConfig, ConfigError, {"vocab_size": 10, "d_model": 8, "n_heads": 2}, [
+        ("d_model", "even and >= 2 for sinusoidal positions", [0, 7]),
+        ("n_heads", ">= 1 and divide d_model", [0, 3]),
+        ("n_layers", ">= 1", [0]),
+        ("d_ff", ">= 1", [0]),
+        ("dropout", "in [0, 1)", [-0.1, 1.0, NAN]),
+        ("max_tgt_len", ">= 2", [1]),
+        ("fusion_variant", f"one of {VARIANTS}", ["bogus"])]),
+    (TrainOptions, ValueError, {}, [
+        ("epochs", ">= 1", [0]),
+        ("batch_size", ">= 1", [0]),
+        ("validate_every", ">= 1", [0]),
+        ("patience", ">= 0", [-1]),
+        ("seed", ">= 0", [-1]),
+        ("lr", "finite and > 0", [0.0, float("inf"), NAN]),
+        ("adam_eps", "finite and > 0", [0.0, float("inf"), NAN]),
+        ("beta1", "in [0, 1)", [-0.1, 1.0, NAN]),
+        ("beta2", "in [0, 1)", [-0.1, 1.0, NAN])]),
+    (DecodeConfig, ValueError, {}, [
+        ("strategy", "greedy or beam", ["sampling"]),
+        ("beam_width", "in [1, 64]", [0, 65]),
+        ("max_len", ">= 1", [0]),
+        ("length_penalty", "in [0, 10]", [-0.1, 10.1, NAN])]),
+    (C.PreprocessConfig, C.CorpusError, {}, [
+        ("max_review_tokens", ">= 1", [0]),
+        ("max_response_tokens", ">= 2", [1])]),
+    (C.AdConfig, C.CorpusError, {}, [
+        ("ad_ngram_n", ">= 1", [0]),
+        ("ad_flag_threshold", "in (0, 1]", [0.0, 1.1, NAN])])]
+
+
+@pytest.mark.parametrize("cls,error,base,field,rule,value", [
+    pytest.param(cls, error, base, field, rule, value, id=f"{cls.__name__}.{field}={value!r}")
+    for cls, error, base, rules in SETTINGS_RULES for field, rule, values in rules
+    for value in values])
+def test_bad_setting_names_rule_and_value(cls, error, base, field, rule, value):
+    """Every settings check reads `<field> must be <rule>, got <value>`, as
+    the class's own error type."""
+    message = f"{field} must be {rule}, got {value!r}"
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        cls(**{**base, field: value})
+    assert type(raised.value) is error
 
 
 class TestNormalize:
@@ -288,7 +340,8 @@ class TestEncodeRecord:
                                         {"max_response_tokens": 1}])
     def test_token_limits_checked(self, limits):
         # a negative limit used to slice tokens off the end of the text
-        with pytest.raises(C.CorpusError, match="max_review_tokens"):
+        (field,) = limits
+        with pytest.raises(C.CorpusError, match=field):
             C.PreprocessConfig(**limits)
 
     def test_truncation(self):

@@ -753,6 +753,26 @@ class TestPackedDropoutDraws:
             assert g is None or np.max(np.abs(g - want)) <= 1e-10 * np.max(np.abs(want)), name
 
 
+class TestEmbedRowsMatchesGather:
+    """The packed encoder input, whose prepended feature rows are cut and
+    joined in ahead of each review's tokens, against the gather through the
+    activations that placed them before (`tests/training_reference.py`):
+    bitwise the same loss and gradients, with dropout on."""
+
+    @pytest.mark.parametrize("variant", M.FUSION_VARIANTS)
+    def test_loss_and_gradients_bitwise(self, variant, monkeypatch):
+        config = M.ModelConfig(vocab_size=20, d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                               max_tgt_len=10, dropout=0.1, fusion_variant=variant, seed=3)
+        batch = random_batch(np.random.default_rng(M.FUSION_VARIANTS.index(variant)), 5)
+        loss, _, grads, draw = TestPackedMatchesPerExample.run(M.forward_training, batch, config)
+        monkeypatch.setattr(M, "_embed_rows", training_reference.embed_rows_by_gather)
+        want_loss, _, want_grads, want_draw = TestPackedMatchesPerExample.run(
+            M.forward_training, batch, config)
+        assert loss == want_loss and draw == want_draw
+        for (name, g), (_, want) in zip(grads, want_grads):
+            assert np.array_equal(g, want), name
+
+
 class TestDecoderStep:
     """The cached one-position step against the reference decoder over whole
     prefixes."""

@@ -13,6 +13,13 @@ looked up on the module at call time, so a test can swap in
 `adam_step` is the allocating Adam update; the library's in-place one must
 be bitwise equal to it.
 
+`embed_rows_by_gather` is the packed encoder input as it was fused before
+the prepended feature rows were cut and joined in with `split_rows` and
+`concat_rows`: all feature rows ahead of all token rows, then one
+`embedding_lookup` gather through those activations that puts each review's
+feature rows ahead of its tokens. Patched in as `model._embed_rows`, it must
+give the library's loss and gradients exactly.
+
 `copying_accum` is the copying gradient-accumulation rule: a slot's first
 gradient is added into a zero-filled array of its own, so no gradient is an
 array that a backward rule made. Patched in as `tensor._accum`, it must give
@@ -22,7 +29,7 @@ the library's gradients exactly.
 import numpy as np
 
 from trrgen import model as M
-from trrgen.tensor import add, cross_entropy_logits, scale
+from trrgen.tensor import add, concat_rows, cross_entropy_logits, embedding_lookup, scale
 
 
 def forward_training(batch, params, config, tape=None, rng=None):
@@ -42,6 +49,26 @@ def forward_training(batch, params, config, tape=None, rng=None):
     if not np.isfinite(loss.values):
         raise FloatingPointError("non-finite training loss")
     return loss
+
+
+def embed_rows_by_gather(src_ids, lengths, rating_ids, category_ids, variant, params, tape):
+    """`model._embed_rows`, putting the prepended rows in place by a gather."""
+    d = params.embedding.values.shape[1]
+    review, pos = np.repeat(np.arange(len(lengths)), lengths), M._positions(lengths)
+    added, prepended = M.FUSION[variant]
+    ids = {"category": category_ids, "rating": rating_ids}
+    x = embedding_lookup(params.embedding, src_ids, tape)
+    for feature in added:
+        x = add(x, embedding_lookup(params.embedding, ids[feature][review], tape), tape)
+    x = add(x, M.positional_encoding(int(lengths.max(initial=1)), d)[pos], tape)
+    if not prepended:
+        return x
+    features = np.stack([ids[f] for f in prepended], axis=1).reshape(-1)  # review by review
+    x = concat_rows([embedding_lookup(params.embedding, features, tape), x], tape)
+    order = features.size + np.arange(len(src_ids))  # token rows follow the feature rows
+    token_starts = np.cumsum(lengths) - lengths
+    order = np.insert(order, np.repeat(token_starts, len(prepended)), np.arange(features.size))
+    return embedding_lookup(x, order, tape)
 
 
 class PackedReplay:
