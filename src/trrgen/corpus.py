@@ -115,14 +115,14 @@ class NgramReport:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of file `path`, with universal newlines; a byte that is
-    not UTF-8 is a CorpusError naming its line."""
+    """The UTF-8 text of file `path`, less a leading byte-order mark, with universal
+    newlines; a byte that is not UTF-8 is a CorpusError naming its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:  # its offsets index `exc.object`, the bytes after the mark
+        line = len(re.split(rb"\r\n?|\n", exc.object[:exc.start]))
         raise CorpusError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 

@@ -8,14 +8,14 @@ hypotheses by summed token log-probabilities.
 Both run incrementally and grouped, on one decoder core: `decode_group`
 decodes several reviews together, and each step runs only the newest
 position of every live hypothesis of every unfinished review, in one call
-of `model.decoder_step` (the core that training also runs) against the
-group's key/value cache, so no step recomputes a prefix. Each review keeps
-its own hypotheses, so its response (the winner without ⟨sos⟩ and ⟨eos⟩)
-does not depend on the other reviews of its group. `generate` decodes one
-review, and `generate_all` many, in groups that keep a step within
-MAX_BEAM_WIDTH rows. Tests hold the loop to the per-review, per-prefix
-decoders of `tests/decode_reference.py`, which rerun that file's reference
-decoder on every prefix.
+of `model.decoder_step` (the core that training also runs; at width 1,
+`model.greedy_step`) against the group's key/value cache, so no step
+recomputes a prefix. Each review keeps its own hypotheses, so its response
+(the winner without ⟨sos⟩ and ⟨eos⟩) does not depend on the other reviews
+of its group. `generate` decodes one review, and `generate_all` many, in
+groups that keep a step within MAX_BEAM_WIDTH rows. Tests hold the loop to
+the per-review, per-prefix decoders of `tests/decode_reference.py`, which
+rerun that file's reference decoder on every prefix.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .corpus import SOS_ID, EOS_ID, Vocabulary, EncodedRecord, check_fields
 from .model import (ModelConfig, ConfigError, Parameters, encode_review, init_group_cache,
-                    decoder_step)
+                    decoder_step, greedy_screen, greedy_step)
 from .tensor import Tensor
 
 
@@ -110,10 +110,10 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
         return []
     cache = init_group_cache(encs, params, config)
     if width == 1:
-        responses = [[] for _ in encs]
+        responses, screen = [[] for _ in encs], greedy_screen(params)
         active, tokens = np.arange(len(encs)), np.full(len(encs), SOS_ID)
         for _ in range(max_len):
-            tokens = decoder_step(tokens, cache, params, config).argmax(axis=1)
+            tokens = greedy_step(tokens, cache, params, config, screen)
             going = tokens != EOS_ID
             if not going.all():
                 active, tokens = active[going], tokens[going]

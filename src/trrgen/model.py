@@ -506,6 +506,13 @@ def decoder_forward(tgt_input_ids, enc: Tensor, params: Parameters,
                    params, tape)
 
 
+def _checked_logits(h: Tensor, params: Parameters) -> np.ndarray:
+    logits = _logits(h, params).values[:, 0]
+    if not np.isfinite(np.maximum.reduce(logits, axis=1)).all():  # a row's max is NaN if any is
+        raise FloatingPointError("non-finite decoder logits")
+    return logits
+
+
 def decoder_step(tokens, cache: DecoderCache, params: Parameters,
                  config: ModelConfig) -> np.ndarray:
     """Next-token logits [W, V] for W hypotheses whose newest tokens [W] sit
@@ -514,10 +521,33 @@ def decoder_step(tokens, cache: DecoderCache, params: Parameters,
     against the cache. A NaN or +inf logit is a FloatingPointError; a -inf
     one bans its id."""
     h = _decode_positions(np.asarray(tokens)[:, None], cache, params, config)
-    logits = _logits(h, params).values[:, 0]
-    if not np.isfinite(np.maximum.reduce(logits, axis=1)).all():  # a row's max is NaN if any is
-        raise FloatingPointError("non-finite decoder logits")
-    return logits
+    return _checked_logits(h, params)
+
+
+def greedy_screen(params: Parameters):
+    """`out_proj` in float32 (±inf beyond its range), and B(h, x) = c(‖h‖₁ + dε)(max|out_proj| + ε)
+    + ε|x|. A float64 logit ℓ of final states h [W, d] and its float32 screen ℓ̃ (`greedy_step`)
+    differ by ≤ (1 − ε)B(h, ℓ̃) − ε|ℓ̃|/2, so ℓ̃ᵢ < ℓ̃ⱼ − 2B(h, ℓ̃ⱼ) proves ℓᵢ < ℓⱼ, in any summation
+    order, with underflow (an op errs by ≤ u(|x| + 2⁻¹⁰²)) and the bias adds: ε = 2⁻⁵⁰, u = 2⁻²⁴,
+    c = (1 + 2⁻²⁰)(u(2 + u) + γ_d(1 + u)² + γ'_d), γ_n = nu/(1 − nu), γ' with u = 2⁻⁵³ (Higham)."""
+    w, u, v, e = params.out_proj.values, 2.0 ** -24, 2.0 ** -53, 2.0 ** -50
+    d, w_max = len(w), max(w.max(), -w.min())
+    c = (1 + 2.0 ** -20) * (u * (2 + u) + d * u / (1 - d * u) * (1 + u) ** 2 + d * v / (1 - d * v))
+    with np.errstate(over="ignore"):
+        return w.astype(np.float32), lambda h, logits: (
+            c * (np.abs(h).sum(axis=-1, keepdims=True) + d * e) * (w_max + e) + e * abs(logits))
+
+
+def greedy_step(tokens, cache: DecoderCache, params: Parameters, config: ModelConfig, screen):
+    """`decoder_step(...).argmax(axis=1)`: ℓ̃'s if each row's best ℓ̃ⱼ beats every other by over
+    2B(h, ℓ̃ⱼ) (`greedy_screen`) and no float32 value is NaN or ±inf, else `decoder_step`'s."""
+    h = _decode_positions(np.asarray(tokens)[:, None], cache, params, config)
+    (w32, bound), hv = screen, h.values[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # such a step falls back
+        logits = (y := hv.astype(np.float32) @ w32) + params.out_bias.values
+        top = logits.max(axis=1, keepdims=True)
+        sure = np.isfinite(y).all() and ((logits >= top - 2 * bound(hv, top)).sum(1) == 1).all()
+    return (logits if sure else _checked_logits(h, params)).argmax(axis=1)
 
 
 def encode_review(rec: EncodedRecord, params: Parameters, config: ModelConfig,

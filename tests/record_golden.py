@@ -136,6 +136,14 @@ def _checked_decoder_step(step):
     return decoder_step
 
 
+def _checked_greedy_step(step):
+    """`greedy_step` as the argmax of the checked `decoder_step`'s logits,
+    which its float32 screen is proven to agree with."""
+    def greedy_step(tokens, cache, params, config, screen):
+        return step(tokens, cache, params, config).argmax(axis=1)
+    return greedy_step
+
+
 def _checked_max(*args, key=None, **kwargs):
     """`max` that checks the margin between the best two keys it ranks."""
     if key is not None:
@@ -148,6 +156,7 @@ def _checked_max(*args, key=None, **kwargs):
 def main():
     generation._top_candidates = _checked_top_candidates(generation._top_candidates)
     generation.decoder_step = _checked_decoder_step(generation.decoder_step)
+    generation.greedy_step = _checked_greedy_step(generation.decoder_step)
     generation.max = _checked_max  # ranks the finished hypotheses in `decode_group`
     golden = golden_outputs()
     unpenalized = DecodeConfig("beam", beam_width=3)

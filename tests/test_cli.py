@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import dataclasses
 import io
@@ -74,6 +75,17 @@ class TestPreprocess:
         rec = json.loads(out.read_text())
         assert "alpha" not in rec["response"]
         assert "hello there my friend." in rec["response"]
+
+    def test_blocklist_applied_after_a_byte_order_mark(self, tmp_path):
+        """The first expression of a blocklist that starts with a UTF-8
+        byte-order mark removes its sentence, as it does without the mark."""
+        src, out, block = tmp_path / "in.jsonl", tmp_path / "out.jsonl", tmp_path / "block.txt"
+        src.write_text(json.dumps({
+            "app_name": "a", "category": "T", "rating": 3, "review": "fine",
+            "response": "thanks for the review. please rate us five stars now."}) + "\n")
+        block.write_bytes(codecs.BOM_UTF8 + b"rate us five stars now\nalpha beta gamma delta epsilon\n")
+        assert run(["preprocess", "--input", src, "--output", out, "--blocklist", block]) == 0
+        assert json.loads(out.read_text())["response"] == "thanks for the review. "
 
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         assert run(["preprocess", "--input", tmp_path / "nope.jsonl",
@@ -1116,7 +1128,9 @@ READERS = {
                # plain ValueError for an integer past Python's digit limit
                "too-deep": (b"[" * 100_000, ["{bad}:1: malformed JSON"]),
                "too-many-digits": (b'{"rating": ' + b"1" * 5_000 + b"}",
-                                   ["{bad}:1: malformed JSON"])}),
+                                   ["{bad}:1: malformed JSON"]),
+               "not-utf8-cr": (GOOD_CORPUS_LINE + b"\r" + GOOD_CORPUS_LINE + b"\r" + NOT_UTF8,
+                               ["{bad}:3: not UTF-8 text"])}),
     "test": (["evaluate", "--checkpoint", "{checkpoint}", "--test", "{bad}"],
              {"not-utf8-crlf": (GOOD_CORPUS_LINE + b"\r\n" + NOT_UTF8,
                                 ["{bad}:2: not UTF-8 text"])}),
@@ -1148,6 +1162,37 @@ def test_bad_file_is_one_error_line_naming_it(session_files, tmp_path, capsys, r
     code = run([arg.format(**names) for arg in argv])
     assert_one_error_line(code, capsys, *(word.format(bad=bad) for word in words))
     assert not out.exists()
+
+
+# Per reader: the command line, with {file} the file under test and {out} an
+# output path, and that file's bytes from the session files.
+READ_AFTER_A_BYTE_ORDER_MARK = {
+    "input": (["preprocess", "--input", "{file}", "--output", "{out}"],
+              lambda files: files.corpus.read_bytes()),
+    "config": (["build-vocab", "--input", "{corpus}", "--output", "{out}", "--config", "{file}"],
+               lambda files: b'{"min_freq": 1}'),
+    "vocab": (["train", "--train", "{corpus}", "--vocab", "{file}", "--output", "{out}",
+               *TINY_MODEL], lambda files: files.vocab.read_bytes()),
+    "batch": (["generate", "--checkpoint", "{checkpoint}", "--batch", "{file}"],
+              lambda files: GOOD_BATCH_LINE_TEXT + b"\n" + GOOD_BATCH_LINE_TEXT + b"\n"),
+}
+
+
+@pytest.mark.parametrize("reader", READ_AFTER_A_BYTE_ORDER_MARK)
+def test_byte_order_mark_is_dropped(session_files, tmp_path, capsys, reader):
+    """A file that starts with a UTF-8 byte-order mark gives the run, its
+    output and its written file of the same file without the mark."""
+    argv, content = READ_AFTER_A_BYTE_ORDER_MARK[reader]
+    file, out, runs = tmp_path / reader, tmp_path / "out", []
+    names = {"file": file, "out": out, "corpus": session_files.corpus,
+             "checkpoint": session_files.checkpoint}
+    for prefix in (b"", codecs.BOM_UTF8):
+        file.write_bytes(prefix + content(session_files))
+        code = run([arg.format(**names) for arg in argv])
+        runs.append((code, capsys.readouterr(), out.read_bytes() if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert runs[0][0] == 0 and runs[0][1].err == ""
+    assert runs[1] == runs[0]
 
 
 class TestTrainingSettingsFirst:

@@ -75,6 +75,19 @@ class TestGreedy:
         b = beam_decode(params, config, enc, DecodeConfig())
         assert a == b
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # set directly, nothing overflows
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_logit_raises(self, value):
+        """A NaN or +inf logit at one id ends greedy decoding of one review or
+        of a group in an error, as it ends `decoder_step`."""
+        params, config = random_model(4)
+        params.out_bias.values[7] = value
+        records = [EncodedRecord(src, [2, 3], 4, 9) for src in ([9, 10, 11], [12])]
+        with pytest.raises(FloatingPointError, match="^non-finite decoder logits$"):
+            generate(records[0], params, config, DecodeConfig())
+        with pytest.raises(FloatingPointError, match="^non-finite decoder logits$"):
+            generate_all(records, params, config, DecodeConfig())
+
 
 class TestBeam:
     @pytest.mark.parametrize("seed", range(50))
@@ -106,15 +119,15 @@ class TestBeam:
         params, config = random_model(width)
         params.out_bias.values[EOS_ID] = -1e9  # nothing finishes, so every step runs
         enc = enc_for(params, config)
-        calls = []
+        calls, step = [], "greedy_step" if width == 1 else "decoder_step"
 
         def counting(tokens, *args):
             calls.append(np.shape(tokens))
-            return M.decoder_step(tokens, *args)
+            return getattr(M, step)(tokens, *args)
 
         def full_prefix(*args):
             raise AssertionError("decoding ran decoder_forward")
-        monkeypatch.setattr("trrgen.generation.decoder_step", counting)
+        monkeypatch.setattr(f"trrgen.generation.{step}", counting)
         monkeypatch.setattr("trrgen.model.decoder_forward", full_prefix)
         decode = DecodeConfig(strategy="beam", beam_width=width, max_len=6)
         assert len(beam_decode(params, config, enc, decode)) == 6
@@ -341,7 +354,7 @@ class TestGroupDecoding:
 
         def counting(tokens, *args):
             rows.append(len(tokens))
-            return M.decoder_step(tokens, *args)
+            return M.greedy_step(tokens, *args)
 
         def selecting(cache, kept):
             dropped.append(len(cache.reviews) - len(kept))
@@ -349,7 +362,7 @@ class TestGroupDecoding:
 
         def beam_only(*args):
             raise AssertionError("a greedy step ran beam scoring")
-        monkeypatch.setattr("trrgen.generation.decoder_step", counting)
+        monkeypatch.setattr("trrgen.generation.greedy_step", counting)
         monkeypatch.setattr("trrgen.generation._top_candidates", beam_only)
         monkeypatch.setattr("trrgen.generation._log_softmax", beam_only)
         monkeypatch.setattr(M.DecoderCache, "select", selecting)

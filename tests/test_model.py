@@ -1,11 +1,13 @@
 import math
 import types
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trrgen import model as M
+from trrgen import generation, model as M
 from trrgen.corpus import EncodedRecord, SOS_ID
 from trrgen.tensor import Tensor, Tape, grad_check, matmul, softmax
 
@@ -854,6 +856,127 @@ class TestDecoderStep:
         cache = M.init_group_cache(encs, params, config)
         with pytest.raises(FloatingPointError, match="^non-finite decoder logits$"):
             M.decoder_step(np.full(2, SOS_ID), cache, params, config)
+
+
+SCREEN_CASES = ("plain", "banned", "zero_out_proj", "equal_columns", "ulp_columns",
+                "near_columns", "float32_overflow")
+
+
+def screened_model(seed, case, scale, vocab_size=16):
+    """A tiny model set up for `case`, whose final hidden states are about
+    `scale` in size (norm3's gamma and beta scaled), with ids 5 and 11 the
+    two contenders of the column cases. Near columns differ by about a
+    float32 ulp, so float32 rounding can swap their order."""
+    config = M.ModelConfig(vocab_size=vocab_size, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                           max_tgt_len=6, dropout=0.0, seed=seed)
+    params = M.init_parameters(config)
+    rng = np.random.default_rng(seed)
+    norm = params.decoder[-1].norm3
+    norm.gamma.values[:] = scale * rng.uniform(0.5, 2.0, config.d_model)
+    norm.beta.values[:] = scale * rng.normal(size=config.d_model)
+    w, b = params.out_proj.values, params.out_bias.values
+    b[:] = rng.normal(size=vocab_size) if seed % 2 else 0.0
+    if case == "banned":
+        b[rng.choice(vocab_size, 4, replace=False)] = [-np.inf, -np.inf, -1e9, -1e9]
+    elif case == "zero_out_proj":
+        w[:] = 0.0
+    elif case.endswith("columns"):
+        w[:, 11] = {"equal_columns": w[:, 5], "ulp_columns": np.nextafter(w[:, 5], np.inf),
+                    "near_columns": w[:, 5] * (1 + 2.0 ** -23 * rng.uniform(-1, 1, config.d_model))
+                    }[case]
+        b[[5, 11]] = 10.0
+    elif case == "float32_overflow":
+        w[rng.integers(config.d_model), rng.integers(vocab_size)] = 1e39
+    return params, config
+
+
+def group_cache(params, config, rows, seed):
+    rng = np.random.default_rng(seed)
+    encs = [M.encode_review(EncodedRecord(rng.integers(10, 16, n).tolist(), [2, 3], 4, 9),
+                            params, config) for n in rng.integers(1, 4, rows)]
+    return M.init_group_cache(encs, params, config)
+
+
+class TestGreedyStep:
+    """The float32-screened greedy step against `decoder_step(...).argmax(axis=1)`."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from(SCREEN_CASES), st.integers(1, 8),
+           st.sampled_from([1e-45, 1e-40, 1e-30, 1e-8, 1.0, 1e8, 1e30, 1e40]))
+    def test_tokens_equal_the_float64_argmax(self, seed, case, rows, scale):
+        params, config = screened_model(seed, case, scale)
+        screen = M.greedy_screen(params)
+        caches = [group_cache(params, config, rows, seed) for _ in range(2)]
+        rng = np.random.default_rng(seed)
+        tokens = np.full(rows, SOS_ID)
+        for _ in range(config.max_tgt_len):
+            with mock.patch.object(M, "_checked_logits", wraps=M._checked_logits) as fallback:
+                got = M.greedy_step(tokens, caches[0], params, config, screen)
+            logits = M.decoder_step(tokens, caches[1], params, config)
+            assert np.array_equal(got, logits.argmax(axis=1))
+            if case == "float32_overflow" or case in ("equal_columns", "ulp_columns") and any(
+                    set(np.argsort(row)[-2:]) == {5, 11} for row in logits):
+                assert fallback.called, "a float32 overflow or a near tie passed the screen"
+            tokens = rng.integers(0, config.vocab_size, rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float32_infinity_hiding_the_top_falls_back(self):
+        """Id 1's float32 sum is −inf while its float64 logit is the largest.
+        Biases of −1e60 leave id 0 the only finite contender, far ahead of the
+        rest, so only the finiteness check keeps the screen from taking it."""
+        config = M.ModelConfig(vocab_size=16, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                               max_tgt_len=2, dropout=0.0, seed=0)
+        params = M.init_parameters(config)
+        norm = params.decoder[-1].norm3
+        norm.gamma.values[:], norm.beta.values[:] = 0.0, [1e-10] + [1e15] * 7  # h = beta
+        params.out_proj.values[:] = 0.1
+        params.out_proj.values[:, 1] = [-1e39] + [1e15] * 7  # float32: −inf; float64: 7e30
+        params.out_bias.values[2:] = -1e60
+        cache = group_cache(params, config, 1, 0)
+        got = M.greedy_step(np.full(1, SOS_ID), cache, params, config, M.greedy_screen(params))
+        assert got.tolist() == [1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**16), st.sampled_from(SCREEN_CASES[:-1]), st.integers(1, 8),
+           st.sampled_from([1e-45, 1e-40, 1e-30, 1e-8, 1.0, 1e8, 1e30]))
+    def test_float32_logits_within_the_bound(self, seed, case, rows, scale):
+        """Entry by entry, ℓ̃ = fl32(h) @ fl32(out_proj) + out_bias (float64)
+        lies within (1 − ε)B(h, ℓ̃) − ε|ℓ̃|/2 of `decoder_step`'s logit ℓ, the
+        room `greedy_screen` states."""
+        params, config = screened_model(seed, case, scale)
+        (w32, bound), eps = M.greedy_screen(params), 2.0 ** -50
+        cache = group_cache(params, config, rows, seed)
+        for _ in range(config.max_tgt_len):
+            tokens = np.random.default_rng(cache.length).integers(0, config.vocab_size, rows)
+            h = M._decode_positions(tokens[:, None], cache, params, config).values[:, 0]
+            logits = M._logits(M.Tensor(h[:, None]), params).values[:, 0]
+            screened = h.astype(np.float32) @ w32 + params.out_bias.values
+            finite = np.isfinite(logits)  # ids banned by a -inf bias are -inf in both
+            assert np.array_equal(finite, np.isfinite(screened))
+            x = np.where(finite, screened, 0.0)
+            room = (1 - eps) * bound(h, x) - eps * abs(x) / 2
+            assert (np.abs(logits[finite] - screened[finite]) <= room[finite]).all()
+
+    def test_few_single_review_steps_fall_back(self):
+        """At paper shape (d 256, V ≈ 8k), at most 5% of single-review steps
+        take the float64 logits. 1 of these 320 does; with the bound loosened
+        50-fold, 44 would, so a bound loosened by mistake fails here."""
+        config = M.ModelConfig(vocab_size=8103, d_model=256, n_heads=4, n_layers=1, d_ff=1024,
+                               max_tgt_len=41, dropout=0.0, seed=1)
+        params = M.init_parameters(config)
+        params.out_bias.values[:4] = -1e9  # ⟨pad⟩, ⟨unk⟩, ⟨sos⟩ and ⟨eos⟩: every step runs
+        rng = np.random.default_rng(1)
+        records = [EncodedRecord(rng.integers(20, 8103, n).tolist(), [2, 3], 4, 9)
+                   for n in rng.integers(5, 60, 8)]
+        with mock.patch.object(generation, "greedy_step", wraps=M.greedy_step) as steps, \
+                mock.patch.object(M, "_checked_logits", wraps=M._checked_logits) as fallbacks:
+            for rec in records:
+                assert len(generation.generate(rec, params, config,
+                                               generation.DecodeConfig(max_len=40))) == 40
+        assert steps.call_count == 8 * 40
+        assert fallbacks.call_count <= 0.05 * steps.call_count
 
 
 class TestGroupCache:
