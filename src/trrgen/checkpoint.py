@@ -6,22 +6,26 @@ metadata, tensor manifest), then one uint64-length-prefixed raw float64 block
 per tensor in `Parameters.named()` order. Attention projections are stored
 fused, one d_model x d_model block each; version 1 stored one block per head
 and is rejected, like any truncated or inconsistent file or one holding a
-non-finite weight. The JSON header is strict JSON, with sorted keys so
-identical state produces byte-identical files: a NaN or infinite value in it
-is an error before a save writes anything, though a load still reads one.
+non-finite weight; a load checks the manifest against the config and the
+file's length before it allocates anything. The JSON header is strict JSON,
+with sorted keys so identical state produces byte-identical files: a NaN or
+infinite value in it is an error before a save writes anything, though a
+load still reads one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
+from itertools import zip_longest
 
 import numpy as np
 
 from .corpus import Vocabulary
-from .model import ModelConfig, Parameters, build_parameters
+from .model import ModelConfig, Parameters, build_parameters, parameter_shapes
 
 MAGIC = b"TRRGEN1"
 VERSION = 2
@@ -91,11 +95,15 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: vocabulary has {len(vocab)} tokens, "
                                   f"model expects {config.vocab_size}")
 
-        params = build_parameters(config, lambda *shape: np.empty(shape))
-        named = list(params.named())
-        if manifest != [(name, t.values.shape) for name, t in named]:
+        # both checked before the config's sizes allocate anything
+        if any(a != b for a, b in zip_longest(manifest, parameter_shapes(config))):
             raise CheckpointError(f"{path}: tensor manifest does not match the model config")
-        for name, t in named:
+        need, left = sum(8 + 8 * math.prod(shape) for _, shape in manifest), size - fh.tell()
+        if need != left:  # each block is its uint64 length and its float64 values
+            raise CheckpointError(f"{path}: truncated tensors" if need > left
+                                  else f"{path}: {left - need} trailing bytes")
+        params = build_parameters(config, lambda *shape: np.empty(shape))
+        for name, t in params.named():
             (nbytes,) = struct.unpack("<Q", read(8, f"tensor {name} length"))
             if nbytes != t.values.nbytes:
                 raise CheckpointError(f"{path}: tensor {name} block is {nbytes} bytes, "
@@ -104,6 +112,4 @@ def load_checkpoint(path):
             t.values = t.values.view("<f8").astype(np.float64, copy=False)  # converts if big-endian
             if not np.isfinite(t.values).all():
                 raise CheckpointError(f"{path}: tensor {name} holds a NaN or infinite value")
-        if fh.tell() != size:
-            raise CheckpointError(f"{path}: {size - fh.tell()} trailing bytes")
     return params, config, vocab, run_config, metadata

@@ -378,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# trrgen's own errors are ValueErrors; FloatingPointError is a loss or logits gone non-finite
-REPORTED_ERRORS = (ValueError, OSError, FloatingPointError)
+# trrgen's own errors are ValueErrors; FloatingPointError is a loss or logits gone
+# non-finite, and MemoryError a setting too large for memory, which numpy refuses at once
+REPORTED_ERRORS = (ValueError, OSError, FloatingPointError, MemoryError)
 
 
 def main(argv=None) -> int:
@@ -388,7 +389,7 @@ def main(argv=None) -> int:
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args, _config_from_args(args))
     except REPORTED_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -90,7 +90,7 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
                  decode: DecodeConfig) -> list[list[int]]:
     """Decode a group of reviews at once: each step runs the decoder once, on
     the newest token of every live hypothesis of every unfinished review,
-    stacked review by review.
+    stacked review by review; `cache.reviews` names each row's review.
 
     At width 1 (greedy), each review's next token is its row's argmax, and
     a review whose token is ⟨eos⟩ is done and leaves the cache. At width 2
@@ -111,30 +111,29 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
     cache = init_group_cache(encs, params, config)
     if width == 1:
         responses, screen = [[] for _ in encs], greedy_screen(params)
-        active, tokens = np.arange(len(encs)), np.full(len(encs), SOS_ID)
+        tokens = np.full(len(encs), SOS_ID)
         for _ in range(max_len):
             tokens = greedy_step(tokens, cache, params, config, screen)
             going = tokens != EOS_ID
             if not going.all():
-                active, tokens = active[going], tokens[going]
-                if not active.size:
+                tokens = tokens[going]
+                if not tokens.size:
                     break
                 cache.select(np.flatnonzero(going))
-            for r, tok in zip(active.tolist(), tokens.tolist()):
+            for r, tok in zip(cache.reviews.tolist(), tokens.tolist()):
                 responses[r].append(tok)
         return responses
     live = [[([SOS_ID], 0.0)] for _ in encs]   # per review: (prefix, summed logprob)
     finished: list[list[tuple[list[int], float]]] = [[] for _ in encs]
-    active = list(range(len(encs)))  # unfinished reviews, in row order
 
     for _ in range(max_len):
+        active = dict.fromkeys(cache.reviews.tolist())  # unfinished reviews, in row order
         hyps = [hyp for r in active for hyp in live[r]]
         logits = decoder_step(np.array([prefix[-1] for prefix, _ in hyps]), cache,
                               params, config)
         scores = _log_softmax(logits)
         scores += np.array([score for _, score in hyps])[:, None]
-        parents, still = [], []
-        first = 0  # the review's first row
+        parents, first = [], 0  # rows kept; the review's first row
         for r in active:
             beams, live[r], kept = live[r], [], []
             for h, tok in _top_candidates(scores[first:first + len(beams)], width * 2):
@@ -147,11 +146,9 @@ def decode_group(params: Parameters, config: ModelConfig, encs: list[Tensor],
                 if len(live[r]) >= width:
                     break
             if live[r] and len(finished[r]) < width:
-                still.append(r)
                 parents += kept
             first += len(beams)
-        active = still
-        if not active:
+        if not parents:
             break
         cache.select(parents)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -194,6 +195,24 @@ def init_parameters(config: ModelConfig, seed: int | None = None) -> Parameters:
     """Xavier-uniform weights, unit gammas, zero betas and biases; seed-determined."""
     rng = np.random.default_rng(config.seed if seed is None else seed)
     return build_parameters(config, partial(_xavier, rng))
+
+
+def parameter_shapes(config: ModelConfig):
+    """(name, shape) of each tensor `Parameters.named()` walks under `config`, in
+    its order, derived without allocating any: lazily, so a check against a
+    checkpoint's manifest stops at the first difference."""
+    d, dff, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = {AttentionParams: [(d, d)] * 4, NormParams: [(d,)] * 2,
+              FeedForwardParams: [(d, dff), (dff,), (dff, d), (d,)]}
+    yield "embedding", (v, d)
+    for prefix, layer in (("enc", EncoderLayerParams), ("dec", DecoderLayerParams)):
+        blocks = get_type_hints(layer).items()
+        for i in range(config.n_layers):
+            for sub, block in blocks:
+                for f, shape in zip(fields(block), shapes[block]):
+                    yield f"{prefix}{i}.{sub.removesuffix('_attn')}.{f.name}", shape
+    yield "out_proj", (d, v)
+    yield "out_bias", (v,)
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +405,17 @@ class DecoderCache:
     encoder states, which broadcast against the hypothesis rows, and
     `self_kv` the self-attention keys [N, H, d_k, length] and values
     [N, H, length, d_k] of the positions decoded so far (None before the
-    first), one row per live hypothesis. `src_mask` and `src_rows` are the
-    key mask and packed row counts that `init_decoder_cache` was handed.
+    first), one row per live hypothesis.
 
-    A group cache (`init_group_cache`) decodes several reviews at once:
-    `reviews` names the review of each row, and `cross` holds one copy of
-    that review's keys and values per row, padded to the group's longest
-    review. `src_mask` is then None when no review is padded, and otherwise
-    the [N, 1, 1, Tk] key mask of each row's review."""
+    A group cache (`init_group_cache`) decodes several reviews at once, and
+    is the one record of which review each row serves: `reviews` names it,
+    and `cross` holds one copy of that review's keys and values per row,
+    padded to the group's longest review. `src_mask` is None when no review
+    is padded, and otherwise the [N, 1, 1, Tk] key mask of each row's review."""
     cross: list[tuple[Tensor, Tensor]]
-    src_mask: np.ndarray | None
     self_kv: list[tuple[np.ndarray, np.ndarray] | None]
     length: int = 0
-    src_rows: np.ndarray | None = None
+    src_mask: np.ndarray | None = None
     reviews: np.ndarray | None = None
 
     def select(self, rows):
@@ -415,16 +432,13 @@ class DecoderCache:
 
 
 def init_decoder_cache(states: Tensor, params: Parameters, config: ModelConfig,
-                       tape: Tape | None = None, src_mask: np.ndarray | None = None,
-                       src_rows: np.ndarray | None = None) -> DecoderCache:
-    """An empty cache for decoding from the [..., Tk, d] encoder states of one
-    review or of a padded group, whose keys `src_mask` masks, or from the
-    packed states of reviews `src_rows[j]` rows long each: each layer's
-    cross-attention keys and values, recorded on `tape`."""
+                       tape: Tape | None = None) -> DecoderCache:
+    """An empty cache, with no key mask, for decoding from encoder states
+    [..., Tk, d]: each layer's cross-attention keys and values, on `tape`."""
     cross = [(_heads(states, a.wk, config.d_k, tape, keys=True),
               _heads(states, a.wv, config.d_k, tape))
              for a in (layer.cross_attn for layer in params.decoder)]
-    return DecoderCache(cross, src_mask, [None] * len(params.decoder), src_rows=src_rows)
+    return DecoderCache(cross, [None] * len(params.decoder))
 
 
 def init_group_cache(states: list[Tensor], params: Parameters,
@@ -440,21 +454,22 @@ def init_group_cache(states: list[Tensor], params: Parameters,
     padded = np.zeros((*real.shape, config.d_model))
     padded[real] = np.concatenate([s.values for s in states])
     mask = None if real.all() else np.where(real, 0.0, NEG_INF)[:, None, None]
-    cache = init_decoder_cache(Tensor(padded), params, config, src_mask=mask)
-    return replace(cache, reviews=np.arange(len(states)))
+    return replace(init_decoder_cache(Tensor(padded), params, config),
+                   src_mask=mask, reviews=np.arange(len(states)))
 
 
 def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: ModelConfig,
                       tape: Tape | None = None, training: bool = False,
-                      rng: np.random.Generator | None = None,
-                      rows: np.ndarray | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None, rows: np.ndarray | None = None,
+                      src_rows: np.ndarray | None = None) -> Tensor:
     """Final hidden states [..., T, d] for T new tokens [..., T] at positions
     `cache.length` … `cache.length` + T − 1, each attending causally to itself
     and every cached position; the cache gains their self-attention keys and
     values. Leading axes are hypotheses, broadcast against the cross-attention
     ones. With `rows`, the 1-D `ids` are the targets of the packed reviews of
-    a fresh cache, `rows[j]` of them for review j, from position 0 each; a
-    target attends only to itself and to its own review."""
+    a fresh cache, `rows[j]` of them for review j, from position 0 each, and
+    the cache holds those reviews' packed states, `src_rows[j]` rows for
+    review j; a target attends only to itself and to its own review."""
     t, start, d_k = np.shape(ids)[-1], cache.length, config.d_k
     lengths = [t] if rows is None else rows.tolist()
     if start + max(lengths) > config.max_tgt_len:
@@ -480,7 +495,7 @@ def _decode_positions(ids, cache: DecoderCache, params: Parameters, config: Mode
         h = sublayer_connect(h, z, layer.norm1, tape)
         a = layer.cross_attn
         z = _attention(_heads(h, a.wq, d_k, tape), *cache.cross[i], cross_masks, tape,
-                       rows, cache.src_rows)
+                       rows, src_rows)
         z = dropout(matmul(z, a.wo, tape), config.dropout, training, tape, rng)
         h = sublayer_connect(h, z, layer.norm2, tape)
         f = dropout(feed_forward(h, layer.ffn, tape), config.dropout, training, tape, rng)
@@ -584,9 +599,9 @@ def forward_training(batch: list[EncodedRecord], params: Parameters,
                     np.array([r.category_id for r in batch]),
                     config.fusion_variant, params, tape)
     states = _encoder_states(x, None, src_rows, params, config, tape, training, rng)
-    cache = init_decoder_cache(states, params, config, tape, src_rows=src_rows)
+    cache = init_decoder_cache(states, params, config, tape)
     h = _decode_positions(np.concatenate([t[:-1] for t in tgt]), cache, params, config,
-                          tape, training, rng, tgt_rows)
+                          tape, training, rng, tgt_rows, src_rows)
     total = linear_cross_entropy(h, params.out_proj, params.out_bias,
                                  np.concatenate([t[1:] for t in tgt]), tape)
     loss = scale(total, 1.0 / tgt_rows.sum(), tape)

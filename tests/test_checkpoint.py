@@ -175,6 +175,34 @@ def test_inconsistent_header_rejected(tiny_checkpoint, edit, match):
         load_checkpoint(tiny_checkpoint)
 
 
+def widen_with_manifest(header):
+    """d_ff 10^11, with a manifest that agrees: only the file's length is short."""
+    header["model_config"]["d_ff"] = 10**11
+    shapes = model.parameter_shapes(ModelConfig(**header["model_config"]))
+    header["tensors"] = [[name, list(shape)] for name, shape in shapes]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda h: h["model_config"].update(n_layers=20_000), "manifest"),
+    (lambda h: h["model_config"].update(d_model=10**11), "manifest"),
+    (lambda h: h["model_config"].update(d_ff=10**11), "manifest"),
+    (widen_with_manifest, "truncated"),
+], ids=["n_layers", "d_model", "d_ff", "manifest_agrees"])
+def test_header_model_size_is_checked_before_allocation(tiny_checkpoint, edit, match):
+    """A header's sizes are checked against its manifest and the file's
+    length before they allocate anything: 10^11 used to end in numpy's
+    MemoryError, and 20,000 layers took seconds and hundreds of MB."""
+    rewrite_header(tiny_checkpoint, edit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(tiny_checkpoint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_header_infinity_written_by_earlier_saves_loads(tiny_checkpoint):
     rewrite_header(tiny_checkpoint, lambda h: h["metadata"].update(
         best_epoch=-1, best_valid_loss=float("inf")))

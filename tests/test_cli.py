@@ -6,6 +6,7 @@ import json
 import os
 import struct
 import tempfile
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from trrgen.model import ModelConfig
 from trrgen.training import TrainOptions
 
 from conftest import make_records
+from test_checkpoint import rewrite_header
 
 
 def jsonl_line(record):
@@ -431,6 +433,40 @@ class TestTrainGenerateEvaluate:
         assert captured.err.splitlines() == ["error: non-finite training loss"]
         assert "saved checkpoint" not in captured.out
         assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("key,value", [("n_layers", 20_000), ("d_model", 10**11)])
+    def test_oversized_checkpoint_header_is_one_error_line(self, session_checkpoint, tmp_path,
+                                                          capsys, key, value):
+        """A header's model size is checked against its manifest before it
+        allocates anything. 20,000 layers took seconds and hundreds of MB to
+        be rejected, and d_model 10^11 ended in a MemoryError traceback."""
+        bad = tmp_path / "big.ckpt"
+        bad.write_bytes(session_checkpoint.read_bytes())
+        rewrite_header(bad, lambda h: h["model_config"].update({key: value}))
+        start = time.perf_counter()
+        code = run(["generate", "--checkpoint", bad, "--review", "love it", "--rating", 5,
+                    "--category", "GAME"])
+        assert time.perf_counter() - start < 0.5
+        assert_one_error_line(code, capsys, f"error: {bad}: tensor manifest does not match")
+
+    def test_model_too_large_for_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        """numpy refuses a 10^11-wide embedding at once, without using the
+        memory; its MemoryError used to end in a traceback."""
+        code = train_one_batch(tmp_path, monkeypatch, "--d-model", 10**11)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: Unable to allocate")
+        assert "saved checkpoint" not in captured.out
+        assert not (tmp_path / "model.ckpt").exists()
+
+    def test_memory_error_without_a_message_is_named(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(cli, "train_model", out_of_memory)
+        code = train_one_batch(tmp_path, monkeypatch)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
 
     @pytest.mark.parametrize("edit", [lambda v: 5, lambda v: dict.fromkeys(v, 0),
                                       lambda v: v[:-1] + [7], lambda v: v[:-1] + [v[-1:]]])

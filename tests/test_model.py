@@ -1042,6 +1042,18 @@ class TestForwardTraining:
 
 
 class TestInit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 9), st.sampled_from(M.FUSION_VARIANTS))
+    def test_parameter_shapes_are_those_init_builds(self, vocab, half_d, heads, layers,
+                                                    d_ff, variant):
+        """The shapes a checkpoint's manifest is checked against before any
+        allocation are those `init_parameters` builds, name by name."""
+        config = M.ModelConfig(vocab_size=vocab, d_model=2 * half_d * heads, n_heads=heads,
+                               n_layers=layers, d_ff=d_ff, fusion_variant=variant)
+        assert list(M.parameter_shapes(config)) == [
+            (name, t.values.shape) for name, t in M.init_parameters(config).named()]
+
     def test_same_seed_bitwise_identical(self, tiny_config):
         a = M.init_parameters(tiny_config, seed=3)
         b = M.init_parameters(tiny_config, seed=3)
